@@ -34,6 +34,7 @@ class NGramModel(val h: Int = 2, val topG: Int = 9,
   def vocabulary: Set[Int] = vocab.toSet
 
   def fit(sequences: IterableOnce[Seq[Int]]): this.type = {
+    top = null
     sequences.iterator.foreach { seq =>
       vocab ++= seq
       val padded = List.fill(h)(Start) ++ seq ++ (if (seq.nonEmpty) List(End) else Nil)
@@ -52,20 +53,42 @@ class NGramModel(val h: Int = 2, val topG: Int = 9,
     this
   }
 
+  /** Each context's top-g set, computed once after the last [[fit]].
+    * Transient: a broadcast carries only the counts.
+    */
+  @volatile @transient private var top: Map[List[Int], Set[Int]] = null
+
+  private def topSets: Map[List[Int], Set[Int]] = {
+    var t = top
+    if (t eq null) {
+      t = counts.iterator.map { case (ctx, m) =>
+        ctx -> m.toSeq.sortBy { case (ev, c) => (-c, ev) }.take(topG).map(_._1).toSet
+      }.toMap
+      top = t
+    }
+    t
+  }
+
   /** Top-g next-event candidates for a history, longest known context
     * first. None when even the unigram context is unseen.
     */
   def predict(history: Seq[Int]): Option[Set[Int]] = {
-    val padded = (List.fill(h)(Start) ++ history).takeRight(h)
-    var order  = h
-    while (order >= 1) {
-      counts.get(padded.takeRight(order)) match {
-        case Some(m) =>
-          return Some(m.toSeq.sortBy { case (ev, c) => (-c, ev) }.take(topG).map(_._1).toSet)
-        case None => order -= 1
-      }
+    val a = history.toArray
+    Option(predictAt(topSets, a, a.length))
+  }
+
+  /** [[predict]] of `seq.take(end)`; null when no context is known. */
+  private def predictAt(sets: Map[List[Int], Set[Int]], seq: Array[Int], end: Int): Set[Int] = {
+    // the last h events before `end`, Start-padded; each tail is the next shorter context
+    var ctx: List[Int] = Nil
+    var j = end - 1
+    while (j >= end - h) { ctx = (if (j >= 0) seq(j) else Start) :: ctx; j -= 1 }
+    while (ctx.nonEmpty) {
+      val s = sets.getOrElse(ctx, null)
+      if (s ne null) return s
+      ctx = ctx.tail
     }
-    None
+    null
   }
 
   /** Indices of anomalous events in a sequence: unknown ids, or events
@@ -75,21 +98,15 @@ class NGramModel(val h: Int = 2, val topG: Int = 9,
     * catches premature-termination anomalies.
     */
   def anomalousEvents(seq: Seq[Int]): Seq[Int] = {
-    val events = seq.indices.filter { i =>
-      val ev = seq(i)
-      if (!vocab.contains(ev)) true
-      else predict(seq.take(i)) match {
-        case Some(top) => !top.contains(ev)
-        case None      => true // context never seen in normal data
-      }
+    val sets = topSets
+    val a    = seq.toArray
+    def outside(end: Int, ev: Int): Boolean = {
+      val cands = predictAt(sets, a, end)
+      cands == null || !cands.contains(ev) // null: context never seen in normal data
     }
-    val endBad = checkEnd && seq.nonEmpty && seq.forall(vocab.contains) && {
-      predict(seq) match {
-        case Some(top) => !top.contains(End)
-        case None      => true
-      }
-    }
-    if (endBad) events :+ seq.length else events
+    val events = a.indices.filter(i => !vocab.contains(a(i)) || outside(i, a(i)))
+    val endBad = checkEnd && a.nonEmpty && a.forall(vocab.contains) && outside(a.length, End)
+    if (endBad) events :+ a.length else events
   }
 
   def isAnomalous(seq: Seq[Int]): Boolean = anomalousEvents(seq).nonEmpty

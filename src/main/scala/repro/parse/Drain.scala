@@ -20,6 +20,8 @@ import scala.collection.mutable
   *
   * Instances are serializable so a trained tree can be broadcast and
   * applied in executors via [[matchOnly]] (frozen, streaming mode).
+  * Frozen matching takes no lock: it reads an immutable index of the tree,
+  * built on first use after the last learning step.
   */
 class Drain(
     val depth: Int = 4,
@@ -50,8 +52,9 @@ class Drain(
 
   /** Parse pre-tokenized input online. */
   def parseTokens(raw: Vector[String]): Int = synchronized {
+    index = null
     val tokens = if (maskFirst) Preprocess.mask(raw) else raw
-    val leaf   = descend(tokens, grow = true)
+    val leaf   = descend(tokens)
     bestGroup(leaf.groups, tokens) match {
       case Some(g) =>
         g.template = merge(g.template, tokens)
@@ -71,38 +74,110 @@ class Drain(
     */
   def matchOnly(message: String): Option[Int] = matchTokens(Preprocess.tokenize(message))
 
-  def matchTokens(raw: Vector[String]): Option[Int] = synchronized {
+  /** Lock-free: reads the frozen [[Index]], building it on the first call
+    * after the last [[parseTokens]]. Safe to call from many threads.
+    */
+  def matchTokens(raw: Vector[String]): Option[Int] = {
     val tokens = if (maskFirst) Preprocess.mask(raw) else raw
-    val leaf   = descend(tokens, grow = false)
-    bestGroup(leaf.groups, tokens).map(_.id)
+    val ix     = { val i = index; if (i ne null) i else freeze() }
+    var node   = ix.root(tokens.length)
+    val n      = math.min(tokens.length, depth - 2)
+    var i      = 0
+    while (i < n && (node ne null)) {
+      val t = tokens(i)
+      node = node.child(if (Preprocess.looksVariable(t)) "<*>" else t)
+      i += 1
+    }
+    if (node eq null) None else node.best(tokens)
   }
 
   // ----------------------------------------------------------------
+  // frozen index
+  // ----------------------------------------------------------------
 
-  private val emptyLeaf = new Node
+  /** Read-only copy of the tree for [[matchTokens]]. Published through a
+    * volatile field and never mutated afterwards, so readers need no lock.
+    * Transient: a broadcast carries only the tree and each executor JVM
+    * rebuilds its index on first use.
+    */
+  @volatile @transient private var index: Index = null
 
-  private def descend(tokens: Vector[String], grow: Boolean): Node = {
-    var node = root
-    // path: token-count key, then up to depth-2 leading tokens
-    val path = tokens.length.toString +:
-      tokens.take(math.max(0, depth - 2)).map(t => if (Preprocess.looksVariable(t)) "<*>" else t)
-    var i = 0
-    while (i < path.length) {
-      val want = path(i)
-      val key =
-        if (want == "<*>" || node.children.contains(want)) want
-        else if (!grow) "<*>" // frozen mode: fall through the wildcard child
-        else if (node.children.size >= maxChildren) "<*>"
-        else want
-      node.children.get(key) match {
-        case Some(child) => node = child
-        case None =>
-          if (grow) { val child = new Node; node.children(key) = child; node = child }
-          else return emptyLeaf
+  private def freeze(): Index = synchronized {
+    if (index eq null) index = new Index(root)
+    index
+  }
+
+  private final class Index(tree: Node) {
+    private val byLength = new Array[Frozen](
+      tree.children.keysIterator.filter(_ != "<*>").map(_.toInt + 1).maxOption.getOrElse(0))
+    tree.children.foreach { case (k, c) => if (k != "<*>") byLength(k.toInt) = new Frozen(c) }
+    private val anyLength = tree.children.get("<*>").map(new Frozen(_)).orNull
+
+    /** Token-count level; a count the tree never saw falls through `<*>`. */
+    def root(length: Int): Frozen =
+      if (length < byLength.length && (byLength(length) ne null)) byLength(length) else anyLength
+  }
+
+  /** A frozen node. Each group keeps only the positions where its template
+    * is static, since only those count towards similarity.
+    */
+  private final class Frozen(node: Node) {
+    private val children = new java.util.HashMap[String, Frozen]()
+    node.children.foreach { case (k, c) => children.put(k, new Frozen(c)) }
+    private val wildcard = children.get("<*>")
+    private val found    = node.groups.map(g => Some(g.id)).toArray // a match allocates nothing
+    private val lengths  = node.groups.map(_.template.length).toArray
+    private val statics  = node.groups.map(g => g.template.indices.filter(g.template(_) != "<*>").toArray).toArray
+    private val words    = node.groups.indices.map(j => statics(j).map(node.groups(j).template)).toArray
+
+    /** Child for a token key; an unknown key falls through `<*>`. */
+    def child(key: String): Frozen = {
+      val c = children.get(key)
+      if (c ne null) c else wildcard
+    }
+
+    /** [[bestGroup]] over the frozen groups: first maximum wins. */
+    def best(tokens: Vector[String]): Option[Int] = {
+      var top     = -1
+      var bestSim = -1.0
+      var j       = 0
+      while (j < found.length) {
+        val s =
+          if (lengths(j) != tokens.length) 0.0
+          else {
+            val pos = statics(j); val w = words(j)
+            var eq  = 0
+            var k   = 0
+            while (k < pos.length) { if (w(k) == tokens(pos(k))) eq += 1; k += 1 }
+            eq.toDouble / lengths(j) // NaN for two empty lines, as in simSeq
+          }
+        if (s > bestSim) { bestSim = s; top = j }
+        j += 1
       }
-      i += 1
+      if (top >= 0 && bestSim >= simThreshold) found(top) else None
+    }
+  }
+
+  // ----------------------------------------------------------------
+  // mining
+  // ----------------------------------------------------------------
+
+  /** Leaf for a line: token-count node, then up to `depth - 2` leading
+    * tokens; a full node sends a new key to its `<*>` child.
+    */
+  private def descend(tokens: Vector[String]): Node = {
+    var node = child(root, tokens.length.toString)
+    tokens.iterator.take(depth - 2).foreach { t =>
+      node = child(node, if (Preprocess.looksVariable(t)) "<*>" else t)
     }
     node
+  }
+
+  private def child(node: Node, want: String): Node = {
+    val key =
+      if (want == "<*>" || node.children.contains(want) || node.children.size < maxChildren) want
+      else "<*>"
+    node.children.getOrElseUpdate(key, new Node)
   }
 
   /** Similarity over positions where the template is static; wildcard

@@ -1,9 +1,15 @@
 package repro.parse
 
+import java.util.concurrent.CyclicBarrier
+
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
+import repro.logs.{Instability, LogSynth}
+import repro.logs.LogModel.LogLine
+
 class DrainSpec extends AnyFunSuite {
+  import DrainSpec._
 
   test("identical messages share a group") {
     val d = new Drain()
@@ -138,4 +144,144 @@ class DrainSpec extends AnyFunSuite {
     msgs.foreach(d.parse)
     assert(d.templates.size == repro.logs.Flows.networkTemplates.size)
   }
+
+  // ---- frozen index ----
+
+  test("frozen matching returns the ids recorded from the locked tree walk") {
+    for ((corpus, cfg) <- Seq("cloud" -> CloudCfg, "hdfs" -> HdfsCfg);
+         (config, mk)  <- Configs) {
+      val d = trained(mk(), cfg)
+      assert(probe(cfg).map(l => d.matchOnly(core(l)).getOrElse(-1)) == Golden((corpus, config)),
+             s"$corpus / $config")
+    }
+  }
+
+  test("learning after a match invalidates the frozen index") {
+    val d = new Drain()
+    d.parse("alpha beta gamma")
+    assert(d.matchOnly("one two three four").isEmpty)
+    val id = d.parse("one two three four")
+    assert(d.matchOnly("one two three four").contains(id))
+  }
+
+  test("a similarity tie between groups of one leaf goes to the first mined") {
+    val d      = new Drain()
+    val first  = d.parse("a b c d e f")
+    val second = d.parse("a b x y z w")
+    assert(first != second)
+    assert(d.matchOnly("a b c d z w").contains(first))
+  }
+
+  test("threads sharing one trained Drain match as one thread does") {
+    val tokens   = probe(CloudCfg).map(l => Preprocess.tokenize(core(l)))
+    val expected = { val d = trained(new Drain(), CloudCfg); tokens.map(d.matchTokens) }
+    val shared   = trained(new Drain(), CloudCfg) // index not built yet: threads race to build it
+    val passes   = 20
+    val nThreads = math.max(2, Runtime.getRuntime.availableProcessors)
+    val barrier  = new CyclicBarrier(nThreads)
+    val results  = new Array[Seq[Option[Int]]](nThreads)
+    val threads  = (0 until nThreads).map { k =>
+      new Thread(() => {
+        barrier.await()
+        results(k) = (1 to passes).flatMap(_ => tokens.map(shared.matchTokens))
+      })
+    }
+    threads.foreach(_.start()); threads.foreach(_.join())
+    results.foreach(r => assert(r == Seq.fill(passes)(expected).flatten))
+  }
+}
+
+object DrainSpec {
+  val CloudCfg = LogSynth.SynthConfig(Seq("network", "storage", "compute", "auth"), 0L)
+  val HdfsCfg  = LogSynth.SynthConfig(Seq("hdfs"), 0L, quantShare = 0.0, payloadProb = 0.0)
+
+  /** `maxChildren = 2` overflows into `<*>` at the token-count level and
+    * at the first leading-token level on both corpora.
+    */
+  val Configs: Seq[(String, () => Drain)] = Seq(
+    "default"       -> (() => new Drain()),
+    "maxChildren=2" -> (() => new Drain(maxChildren = 2)),
+    "maskFirst"     -> (() => new Drain(maskFirst = true)),
+  )
+
+  def core(l: LogLine): String = Preprocess.extractStructured(l.message)._1
+
+  /** Learns 300 normal sessions. */
+  def trained(d: Drain, cfg: LogSynth.SynthConfig): Drain = {
+    (0L until 300L).flatMap(LogSynth.genSession(_, cfg.copy(anomalyRate = 0.0)))
+      .foreach(l => d.parse(core(l)))
+    d
+  }
+
+  /** 60 other sessions, 20% anomalous, 30% of lines made unstable: exact,
+    * generalised and novel (-1) matches.
+    */
+  def probe(cfg: LogSynth.SynthConfig): Seq[LogLine] =
+    (0L until 60L).flatMap(LogSynth.genSession(_, cfg.copy(anomalyRate = 0.2, seed = 5L)))
+      .flatMap(Instability.injectLine(_, 0.3, 7L))
+
+  private def ids(s: String): Seq[Int] = s.trim.split("\\s+").toSeq.map(_.toInt)
+
+  // Recorded with the synchronized tree walk that preceded the frozen index.
+  // maskFirst gave the same ids as the default configuration on both corpora.
+  private val cloudDefault = """
+    0 1 1 1 2 4 5 -1 6 6 6 6 7 8 9 10 11 12 13 14 14 14 15 0 1 1 1 2 1 3 -1 5 6 6 6 6 6 6 7
+    8 9 10 11 12 13 14 14 14 15 0 1 1 2 3 4 4 5 6 6 6 -1 6 -1 8 9 10 11 12 13 -1 14 15 -1 1
+    2 3 4 5 -1 6 6 7 8 -1 10 11 12 13 14 14 14 14 15 15 0 -1 4 5 6 6 6 -1 6 6 7 8 9 10 10 -1
+    12 13 14 14 -1 0 4 5 6 6 6 -1 6 7 8 -1 -1 11 12 13 14 14 14 14 14 14 14 -1 0 -1 1 1 2 3
+    4 5 6 6 6 6 6 7 8 9 -1 11 12 13 -1 14 14 14 15 -1 1 1 2 3 4 8 9 10 11 12 13 13 -1 14 14
+    14 15 0 -1 1 2 -1 4 -1 5 -1 6 7 8 9 10 11 12 13 14 14 15 0 0 1 2 3 4 5 6 6 6 7 8 9 10 11
+    -1 13 14 0 1 1 1 1 2 3 4 5 -1 8 9 10 10 11 11 -1 13 13 14 14 15 0 -1 1 1 2 3 4 5 -1 6 6
+    6 -1 8 9 10 11 12 13 14 14 14 14 15 -1 1 2 -1 4 5 5 6 6 6 6 6 7 8 9 10 11 12 13 14 -1 0
+    1 1 1 1 1 2 3 -1 -1 6 6 6 6 6 7 8 9 10 11 12 13 14 15 0 1 -1 1 2 -1 4 5 6 6 6 6 7 8 9 9
+    10 11 12 13 14 14 15
+  """
+
+  private val cloudMaxChildren2 = """
+    0 1 1 1 2 4 5 -1 6 6 6 6 7 8 9 9 10 11 12 13 13 13 14 0 1 1 1 2 1 3 -1 5 6 6 6 6 6 6 7 8
+    9 9 10 11 12 13 13 13 14 0 1 1 2 3 4 4 5 6 6 6 6 6 -1 8 9 9 10 11 12 -1 13 14 -1 1 2 3 4
+    5 -1 6 6 7 8 -1 9 10 11 12 13 13 13 13 14 14 0 -1 4 5 6 6 6 -1 6 6 7 8 9 9 9 10 11 12 13
+    13 -1 0 4 5 6 6 6 -1 6 7 8 -1 -1 10 11 12 13 13 13 13 13 13 13 -1 0 -1 1 1 2 3 4 5 6 6 6
+    6 6 7 8 9 -1 10 11 12 -1 13 13 13 14 -1 1 1 2 3 4 8 9 9 10 11 12 12 -1 13 13 13 14 0 -1
+    1 2 -1 4 -1 5 -1 6 7 8 9 9 10 11 12 13 13 14 0 0 1 2 3 4 5 6 6 6 7 8 9 9 10 -1 12 13 0 1
+    1 1 1 2 3 4 5 -1 8 9 9 9 10 10 -1 12 12 13 13 14 0 -1 1 1 2 3 4 5 -1 6 6 6 -1 8 9 9 10
+    11 12 13 13 13 13 14 -1 1 2 -1 4 5 5 6 6 6 6 6 7 8 9 9 10 11 12 13 -1 0 1 1 1 1 1 2 3 -1
+    -1 6 6 6 6 6 7 8 9 9 10 11 12 13 14 0 1 -1 1 2 -1 4 5 6 6 6 6 7 8 9 9 9 10 11 12 13 13
+    14
+  """
+
+  private val hdfsDefault = """
+    0 1 2 2 2 0 1 -1 2 2 3 4 0 1 2 2 3 0 1 2 2 2 3 4 0 1 2 2 3 2 4 -1 1 -1 2 2 2 3 4 0 1 2 2
+    3 3 -1 0 1 2 2 2 3 -1 0 1 2 2 3 4 0 0 1 2 2 2 -1 3 -1 0 1 2 2 3 4 0 1 -1 2 3 4 -1 -1 2 2
+    3 4 0 1 -1 0 -1 2 2 2 3 4 0 1 2 2 3 4 0 -1 2 2 0 1 2 2 2 -1 3 -1 0 1 2 2 -1 3 3 4 -1 1 2
+    2 -1 4 0 0 1 2 2 2 -1 4 -1 -1 -1 2 2 3 4 0 1 2 2 2 2 2 3 4 0 -1 2 2 2 3 4 0 1 2 2 2 3 4
+    0 1 -1 2 3 4 0 1 -1 2 3 4 -1 1 2 2 3 -1 0 0 1 2 2 2 3 -1 0 1 1 -1 2 2 3 4 0 -1 2 2 -1 4
+    0 1 2 -1 -1 3 -1 0 1 2 2 2 3 4 0 1 2 2 3 4 0 0 1 2 2 3 4 0 1 2 2 3 4 0 1 2 2 2 -1 4 -1 1
+    -1 0 -1 2 2 2 2 3 4 0 1 2 2 3 3 0 1 2 2 2 2 4 3 -1 1 1 2 2 2 -1 4 0 -1 2 2 2 3 4 0 1 -1
+    2 -1 3 -1 -1 1 2 2 3 4 0 -1 1 2 2 2 3 4 -1 1 2 -1 3 4 1 2 2 2 2 3 4 0 1 2 2 -1 -1 0 1 2
+    -1 3 3 4 0 2 1 2 2 2 3 4 -1 -1 2 2 2 2 3 4 0 1 2 2 3 4 0 1 2 2 3 4 0 1 -1 2 2 -1 4 0 1 2
+    2 0 1 1 2 2 -1 4 0 1 2 2 3 4
+  """
+
+  private val hdfsMaxChildren2 = """
+    0 1 2 2 2 0 1 -1 2 2 3 4 0 1 2 2 3 0 1 2 2 2 3 4 0 1 2 2 3 2 4 -1 1 -1 2 2 2 3 4 0 1 2 2
+    3 3 -1 0 1 2 2 2 3 -1 0 1 2 2 3 4 0 0 1 2 2 2 -1 3 -1 0 1 2 2 3 4 0 1 -1 2 3 4 -1 -1 2 2
+    3 4 0 1 -1 0 -1 2 2 2 3 4 0 1 2 2 3 4 0 -1 2 2 0 1 2 2 2 -1 3 4 0 1 2 2 -1 3 3 4 -1 1 2
+    2 -1 4 0 0 1 2 2 2 -1 4 -1 -1 -1 2 2 3 4 0 1 2 2 2 2 2 3 4 0 -1 2 2 2 3 4 0 1 2 2 2 3 4
+    0 1 -1 2 3 4 0 1 -1 2 3 4 -1 1 2 2 3 -1 0 0 1 2 2 2 3 -1 0 1 1 -1 2 2 3 4 0 -1 2 2 -1 4
+    0 1 2 -1 -1 3 -1 0 1 2 2 2 3 4 0 1 2 2 3 4 0 0 1 2 2 3 4 0 1 2 2 3 4 0 1 2 2 2 -1 4 -1 1
+    -1 0 -1 2 2 2 2 3 4 0 1 2 2 3 3 0 1 2 2 2 2 4 3 -1 1 1 2 2 2 -1 4 0 -1 2 2 2 3 4 0 1 -1
+    2 -1 3 -1 -1 1 2 2 3 4 0 -1 1 2 2 2 3 4 -1 1 2 -1 3 4 1 2 2 2 2 3 4 0 1 2 2 -1 -1 0 1 2
+    -1 3 3 4 0 2 1 2 2 2 3 4 -1 -1 2 2 2 2 3 4 0 1 2 2 3 4 0 1 2 2 3 4 0 1 -1 2 2 -1 4 0 1 2
+    2 0 1 1 2 2 -1 4 0 1 2 2 3 4
+  """
+
+  val Golden: Map[(String, String), Seq[Int]] = Map(
+    ("cloud", "default")       -> ids(cloudDefault),
+    ("cloud", "maxChildren=2") -> ids(cloudMaxChildren2),
+    ("cloud", "maskFirst")     -> ids(cloudDefault),
+    ("hdfs", "default")        -> ids(hdfsDefault),
+    ("hdfs", "maxChildren=2")  -> ids(hdfsMaxChildren2),
+    ("hdfs", "maskFirst")      -> ids(hdfsDefault),
+  )
 }

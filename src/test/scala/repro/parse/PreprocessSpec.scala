@@ -3,7 +3,69 @@ package repro.parse
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
+import repro.logs.{Instability, LogSynth}
+
 class PreprocessSpec extends AnyFunSuite {
+
+  /** The regex versions the char scans replaced: the reference. */
+  private object Reference {
+    def tokenize(message: String): Vector[String] =
+      message.trim.split("\\s+").filter(_.nonEmpty).toVector
+
+    private val TrailingJson = """\s*(\{.*\})\s*$""".r
+
+    def extractStructured(message: String): (String, Option[String]) =
+      TrailingJson.findFirstMatchIn(message) match {
+        case Some(m) if m.start > 0 => (message.substring(0, m.start).trim, Some(m.group(1)))
+        case _                      => (message.trim, None)
+      }
+
+    private val Num   = """^\d+(\.\d+)?$""".r
+    private val Ip    = """^/?\d{1,3}(\.\d{1,3}){3}(:\d+)?,?$""".r
+    private val HexId = """^(blk|vol|req|i)[-_][\w-]+$""".r
+
+    def looksVariable(tok: String): Boolean = {
+      val t = tok.stripSuffix(",")
+      Num.matches(t) || Ip.matches(t) || HexId.matches(t) || t.exists(_.isDigit)
+    }
+  }
+
+  private def assertSameAsReference(s: String): Unit = {
+    assert(Preprocess.tokenize(s) == Reference.tokenize(s), s)
+    assert(Preprocess.extractStructured(s) == Reference.extractStructured(s), s)
+    assert(Preprocess.looksVariable(s) == Reference.looksVariable(s), s)
+  }
+
+  test("scanners equal the regex reference on 1M random strings") {
+    // every whitespace class, a control char, two line terminators that
+    // are not `\s`, braces, digits and the chars of numbers, IPs and ids
+    val alphabet = " \t\n\r\f\u000B\u0001\u0085\u2028{}0123456789,.:\"-_i".toVector
+    val rng = new Random(11)
+    (1 to 1000000).foreach { _ =>
+      assertSameAsReference(Vector.fill(rng.nextInt(24))(alphabet(rng.nextInt(alphabet.size))).mkString)
+    }
+  }
+
+  test("looksVariable equals the regex reference on 1M random id-shaped tokens") {
+    val prefixes = Vector("blk", "vol", "req", "i", "bl", "vo", "re", "I", "x", "")
+    val alphabet = "-_,aZz09.: {".toVector
+    val rng = new Random(12)
+    (1 to 1000000).foreach { _ =>
+      val t = prefixes(rng.nextInt(prefixes.size)) +
+        Vector.fill(rng.nextInt(6))(alphabet(rng.nextInt(alphabet.size))).mkString
+      assert(Preprocess.looksVariable(t) == Reference.looksVariable(t), t)
+    }
+  }
+
+  test("scanners equal the regex reference on every cloud message, stable and unstable") {
+    val cfg   = LogSynth.SynthConfig(Seq("network", "storage", "compute", "auth"), 0L, payloadProb = 0.7)
+    val lines = (0L until 4000L).flatMap(LogSynth.genSession(_, cfg))
+    assert(lines.exists(l => Preprocess.extractStructured(l.message)._2.isDefined))
+    for (l <- lines ++ lines.flatMap(Instability.injectLine(_, 0.2, 7L))) {
+      assertSameAsReference(l.message)
+      Reference.tokenize(l.message).foreach(t => assert(Preprocess.looksVariable(t) == Reference.looksVariable(t), t))
+    }
+  }
 
   test("tokenize splits on runs of whitespace") {
     assert(Preprocess.tokenize("a  b\tc   d") == Vector("a", "b", "c", "d"))
