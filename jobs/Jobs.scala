@@ -1,14 +1,12 @@
 package repro.jobs
 
+import scala.collection.immutable.ListMap
+
 import org.apache.spark.sql.SparkSession
 
 import repro.tables._
 
-/** Shared builder for the per-table spark-submit entrypoints.
-  *
-  * Usage: `spark-submit --class repro.jobs.T1Job repro-jobs.jar [nSessions]`
-  * — every job prints its reproduced table to stdout.
-  */
+/** Shared builder for the spark-submit entrypoints. */
 object Jobs {
   def session(name: String): SparkSession =
     SparkSession.builder
@@ -23,78 +21,42 @@ object Jobs {
     if (args.length > idx) args(idx).toLong else default
 }
 
-/** T1 — detector comparison, anomaly-free training (§III plan 1). */
-object T1Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T1")
-    println(T1DetectorComparison.render(
-      T1DetectorComparison.run(spark, Jobs.arg(args, 0, 20000))))
-    spark.stop()
-  }
-}
+/** One reproduced table, named on the command line.
+  *
+  * Usage: `spark-submit --class repro.jobs.Table repro-jobs.jar <T1..T8> [nSessions]`
+  * — prints the table to stdout.
+  */
+object Table {
 
-/** T2 — multi-source mixing (§III plan 3). */
-object T2Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T2")
-    println(T2MultiSource.render(T2MultiSource.run(spark, Jobs.arg(args, 0, 8000))))
-    spark.stop()
-  }
-}
+  /** Table name → (default nSessions, run-and-render). */
+  private val tables = ListMap[String, (Long, (SparkSession, Long) => String)](
+    // detector comparison, anomaly-free training (§III plan 1)
+    "T1" -> (20000L, (s, n) => T1DetectorComparison.render(T1DetectorComparison.run(s, n))),
+    // multi-source mixing (§III plan 3)
+    "T2" -> (8000L, (s, n) => T2MultiSource.render(T2MultiSource.run(s, n))),
+    // instability robustness (§III plan 2)
+    "T3" -> (8000L, (s, n) => T3Instability.render(T3Instability.run(s, n))),
+    // online parser benchmark and Drain sensitivity (§IV)
+    "T4" -> (2000L, (s, n) =>
+      T4ParserBenchTable.renderA(T4ParserBenchTable.runA(s, n)) + "\n\n" +
+        T4ParserBenchTable.renderB(T4ParserBenchTable.runB(s, n))),
+    // structured-payload pre-extraction (§IV)
+    "T5" -> (2000L, (s, n) => T5PreExtraction.render(T5PreExtraction.run(s, n))),
+    // quantitative detection vs token accuracy (§IV Eq. 1)
+    "T6" -> (8000L, (s, n) => T6QuantDetection.render(T6QuantDetection.run(s, n))),
+    // feedback-trained classifier (§V)
+    "T7" -> (20000L, (s, n) => T7Classifier.render(T7Classifier.run(s, n))),
+    // scalability of distributed parsing and the end-to-end pipeline
+    "T8" -> (40000L, (s, n) => T8Scalability.render(T8Scalability.run(s, n))),
+  )
 
-/** T3 — instability robustness (§III plan 2). */
-object T3Job {
   def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T3")
-    println(T3Instability.render(T3Instability.run(spark, Jobs.arg(args, 0, 8000))))
-    spark.stop()
-  }
-}
-
-/** T4 — online parser benchmark and Drain sensitivity (§IV). */
-object T4Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T4")
-    val n = Jobs.arg(args, 0, 2000)
-    println(T4ParserBenchTable.renderA(T4ParserBenchTable.runA(spark, n)))
-    println()
-    println(T4ParserBenchTable.renderB(T4ParserBenchTable.runB(spark, n)))
-    spark.stop()
-  }
-}
-
-/** T5 — structured-payload pre-extraction (§IV). */
-object T5Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T5")
-    println(T5PreExtraction.render(T5PreExtraction.run(spark, Jobs.arg(args, 0, 2000))))
-    spark.stop()
-  }
-}
-
-/** T6 — quantitative detection vs token accuracy (§IV Eq. 1). */
-object T6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T6")
-    println(T6QuantDetection.render(T6QuantDetection.run(spark, Jobs.arg(args, 0, 8000))))
-    spark.stop()
-  }
-}
-
-/** T7 — feedback-trained classifier (§V). */
-object T7Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T7")
-    println(T7Classifier.render(T7Classifier.run(spark, Jobs.arg(args, 0, 20000))))
-    spark.stop()
-  }
-}
-
-/** T8 — scalability of distributed parsing and the end-to-end pipeline. */
-object T8Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T8")
-    println(T8Scalability.render(T8Scalability.run(spark, Jobs.arg(args, 0, 40000))))
+    val (default, render) = args.headOption.flatMap(tables.get).getOrElse(
+      throw new IllegalArgumentException(
+        s"usage: repro.jobs.Table <${tables.keys.mkString("|")}> [nSessions]; " +
+          s"got ${args.headOption.getOrElse("no table name")}"))
+    val spark = Jobs.session(s"monilog-${args(0)}")
+    println(render(spark, Jobs.arg(args, 1, default)))
     spark.stop()
   }
 }

@@ -5,8 +5,8 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.classify.PoolClassifier
-import repro.detect.{EventVectorizer, NGramModel, QuantDetector, SemanticMatcher}
-import repro.parse.{DistributedDrain, Drain, Preprocess, TemplateOps}
+import repro.detect.{NGramModel, QuantDetector, SemanticMatcher}
+import repro.parse.{DistributedDrain, Drain, Preprocess}
 import repro.stream.MoniLogPipeline
 import repro.stream.MoniLogPipeline.{Models, RawLog}
 
@@ -14,9 +14,11 @@ import repro.stream.MoniLogPipeline.{Models, RawLog}
   * the frozen model bundle the streaming pipeline broadcasts.
   *
   * Training is itself distributed (the paper's §II scalability
-  * requirement): templates are mined with [[DistributedDrain]]; the
-  * sequence and value models are fitted from the distributed assignment
-  * join; only the compact models live on the driver.
+  * requirement): templates are mined with [[DistributedDrain]], and the
+  * history is then structured with the serving pipeline's own
+  * [[MoniLogPipeline.parseStream]] → [[MoniLogPipeline.sequence]], so the
+  * sequence and value models are fitted on sequences of exactly the shape
+  * they later score. Only the compact models live on the driver.
   */
 object MoniLog {
 
@@ -47,61 +49,38 @@ object MoniLog {
       .map { case (id, msg) => (id, Preprocess.extractStructured(msg)._1) }
       .toDF("lineId", "message")
     val mined = DistributedDrain.parse(core, cfg.depth, cfg.simThreshold)
+    mined.assignments.unpersist()
 
-    // 2. frozen matcher tree: replay merged templates into a fresh Drain.
-    // Replay may merge further (two mined templates can be mutually
-    // similar), so keep an explicit mined-id → frozen-id remap and apply
-    // it to the assignments before fitting any model.
+    // 2. frozen matcher tree: replay the mined templates into a fresh
+    // Drain. Replay may merge further (two mined templates can be mutually
+    // similar); the history is re-parsed below, so lines get frozen ids.
     val frozen = new Drain(cfg.depth, cfg.simThreshold)
-    val remap: Map[Int, Int] = mined.templates.toSeq.sortBy(_._1).map {
-      case (minedId, toks) => minedId -> frozen.parseTokens(toks)
-    }.toMap
+    mined.templates.toSeq.sortBy(_._1).foreach { case (_, toks) => frozen.parseTokens(toks) }
     val templates = frozen.templates
-    val bRemap = spark.sparkContext.broadcast(remap)
-    val assignments = mined.assignments
-      .select(col("lineId").cast("long") as "lineId", col("templateId").cast("int") as "tid")
-      .as[(Long, Int)]
-      .map { case (lineId, tid) => (lineId, bRemap.value(tid)) }
-      .toDF("lineId", "templateId")
-
-    // 3. per-line structured events for model fitting
-    val bTemplates = spark.sparkContext.broadcast(templates)
-    val joined = history
-      .select(col("lineId").cast("long") as "lineId", col("ts"), col("source"),
-              col("sessionId"), col("message").cast("string") as "message")
-      .join(assignments, "lineId")
-    val events = joined
-      .select(col("ts"), col("source"), col("sessionId"), col("message"), col("templateId"))
-      .as[(java.sql.Timestamp, String, String, String, Int)]
-      .map { case (ts, source, sessionId, message, tid) =>
-        val toks = Preprocess.tokenize(Preprocess.extractStructured(message)._1)
-        val vars = bTemplates.value.get(tid).map(t => TemplateOps.extractVars(t, toks))
-          .getOrElse(Nil)
-        (ts, source, sessionId, tid, vars)
-      }
-      .toDF("ts", "source", "sessionId", "templateId", "vars")
-      .persist()
-
-    // 4. sequential model from per-session sequences
-    val sequences = EventVectorizer.bySession(
-      events.withColumn("lineId", monotonically_increasing_id())
-            .withColumn("sessionLabel", lit("normal")))
-      .collect().map(_.events)
-    val ngram = new NGramModel(cfg.ngramOrder, cfg.topG).fit(sequences.toSeq)
-
-    // 5. value models
-    val quant = new QuantDetector(cfg.zThreshold)
-    events.select(col("templateId"), col("vars")).as[(Int, Seq[String])]
-      .collect().foreach { case (tid, vars) => quant.observe(tid, vars) }
-    events.unpersist()
-
-    Models(
+    val base = Models(
       parser = frozen,
       matcher = new SemanticMatcher(templates.view.mapValues(_.toSeq).toMap, cfg.matcherTau),
-      sequential = ngram,
-      quantitative = quant,
+      sequential = new NGramModel(cfg.ngramOrder, cfg.topG),
+      quantitative = new QuantDetector(cfg.zThreshold),
       templates = templates,
       zThreshold = cfg.zThreshold,
+    )
+
+    // 3. structure the history exactly as serving does
+    val bBase = broadcastModels(spark, base)
+    val raw = history.select(col("ts"), col("source"), col("sessionId"),
+                             col("message").cast("string") as "message").as[RawLog]
+    val sequences = MoniLogPipeline.sequence(MoniLogPipeline.parseStream(raw, bBase))
+      .collect().map(_.events)
+    bBase.destroy()
+
+    // 4. fit the sequence and value models on the same events
+    base.copy(
+      sequential = new NGramModel(cfg.ngramOrder, cfg.topG)
+        .fit(sequences.iterator.map(_.map(_.templateId))),
+      quantitative = new QuantDetector(cfg.zThreshold).fit(sequences.iterator.flatten.collect {
+        case e if e.templateId != MoniLogPipeline.NovelId => (e.templateId, e.vars)
+      }),
     )
   }
 

@@ -23,7 +23,8 @@ import repro.parse.{Drain, Preprocess, TemplateOps}
   *           classifier snapshot
   *
   * Every stage is a pure `DataFrame → DataFrame`/`Dataset` function so
-  * batch tests, the streaming job and the benches share one code path.
+  * batch tests, training, the streaming job and the benches share one code
+  * path.
   */
 object MoniLogPipeline {
 

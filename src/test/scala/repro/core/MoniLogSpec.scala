@@ -68,6 +68,36 @@ class MoniLogSpec extends SparkSpec {
     assert(m2.templates == models.templates)
   }
 
+  test("training leaves no cached data behind") {
+    history.count() // the suite's own cached history, materialised first
+    def cached = spark.sparkContext.getPersistentRDDs.size
+    val before = cached
+    MoniLog.train(spark, history)
+    assert(cached == before)
+  }
+
+  test("a normal session that pauses mid-flow is not reported") {
+    // One session in four pauses 10 s after its 3rd event, in the training
+    // history and the held-out corpus alike. Serving cuts such a session at
+    // its 5 s gap, so training must have seen it cut the same way.
+    val isPaused = pmod(hash(col("sessionId")), lit(4)) === 0
+    def corpus(n: Long, seed: Long) =
+      LogSynth.cloud(spark, n, anomalyRate = 0.0, seed = seed, payloadProb = 0.3).toDF()
+        .withColumn("ts", when(isPaused && col("seqIndex") >= 3,
+                               col("ts") + expr("INTERVAL 10 SECONDS")).otherwise(col("ts")))
+    val trained = MoniLog.train(spark, corpus(600, 50L))
+    val heldOut = corpus(400, 51L)
+    val raws = heldOut.select($"ts", $"source", $"sessionId", $"message").as[RawLog]
+    val flagged = MoniLog.detectBatch(spark, raws, trained).collect().map(_.sessionId).toSet
+    val (paused, unpaused) = heldOut.select(col("sessionId"), isPaused).distinct()
+      .as[(String, Boolean)].collect().partition(_._2)
+    val pausedFlagged = paused.count(p => flagged(p._1))
+    val unpausedFlagged = unpaused.count(p => flagged(p._1))
+    assert(pausedFlagged < 0.2 * paused.length, s"$pausedFlagged of ${paused.length} paused")
+    assert(unpausedFlagged < 0.05 * unpaused.length,
+           s"$unpausedFlagged of ${unpaused.length} unpaused")
+  }
+
   test("score helper computes the paper's metrics") {
     val prf = PRF(tp = 8, fp = 2, fn = 2, tn = 88)
     assert(math.abs(prf.precision - 0.8) < 1e-9)
