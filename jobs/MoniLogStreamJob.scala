@@ -46,8 +46,7 @@ object MoniLogStreamJob {
     val reports = MoniLogPipeline.pipeline(
       raw,
       MoniLog.broadcastModels(spark, models),
-      MoniLog.broadcastClassifier(spark, new PoolClassifier()),
-      gap = "5 seconds", watermark = "5 seconds")
+      MoniLog.broadcastClassifier(spark, new PoolClassifier()))
 
     val query = reports
       .select($"windowStart", $"source", $"sessionId", $"kind", $"score",

@@ -26,6 +26,9 @@ object PoolClassifier {
   val DefaultPool        = "default"
   val DefaultCriticality = "moderate"
 
+  /** Laplace smoothing of the naive-Bayes counts. */
+  private val Smoothing = 1.0
+
   /** Minimal view of an anomaly report used for classification. */
   final case class ReportFeatures(
       source: String,
@@ -48,7 +51,7 @@ object PoolClassifier {
       extends AdminAction
 }
 
-class PoolClassifier(val smoothing: Double = 1.0) extends Serializable {
+class PoolClassifier extends Serializable {
   import PoolClassifier._
 
   private val pools = mutable.Set(DefaultPool)
@@ -95,12 +98,12 @@ class PoolClassifier(val smoothing: Double = 1.0) extends Serializable {
     val nFeat = math.max(1, features.size)
     val bag   = report.featureBag
     pools.toSeq.sorted.maxBy { pool =>
-      val prior = math.log((poolCounts.getOrElse(pool, 0.0) + smoothing) /
-                           (total + smoothing * pools.size))
+      val prior = math.log((poolCounts.getOrElse(pool, 0.0) + Smoothing) /
+                           (total + Smoothing * pools.size))
       val fc     = featCounts.getOrElse(pool, mutable.Map.empty)
       val fcSum  = fc.values.sum
       val lik = bag.map { f =>
-        math.log((fc.getOrElse(f, 0.0) + smoothing) / (fcSum + smoothing * nFeat))
+        math.log((fc.getOrElse(f, 0.0) + Smoothing) / (fcSum + Smoothing * nFeat))
       }.sum
       prior + lik
     }

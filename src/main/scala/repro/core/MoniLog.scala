@@ -28,7 +28,6 @@ object MoniLog {
       ngramOrder: Int = 2,
       topG: Int = 9,
       zThreshold: Double = 6.0,
-      matcherTau: Double = 0.5,
   )
 
   /** Train the full model bundle from an anomaly-free history.
@@ -59,11 +58,10 @@ object MoniLog {
     val templates = frozen.templates
     val base = Models(
       parser = frozen,
-      matcher = new SemanticMatcher(templates.view.mapValues(_.toSeq).toMap, cfg.matcherTau),
+      matcher = new SemanticMatcher(templates.view.mapValues(_.toSeq).toMap),
       sequential = new NGramModel(cfg.ngramOrder, cfg.topG),
       quantitative = new QuantDetector(cfg.zThreshold),
       templates = templates,
-      zThreshold = cfg.zThreshold,
     )
 
     // 3. structure the history exactly as serving does
@@ -93,9 +91,8 @@ object MoniLog {
     spark.sparkContext.broadcast(classifier)
 
   /** Convenience: batch-mode end-to-end run (tests, T-tables). */
-  def detectBatch(spark: SparkSession, raw: Dataset[RawLog], models: Models,
-                  classifier: PoolClassifier = new PoolClassifier(),
-                  gap: String = "5 seconds"): Dataset[MoniLogPipeline.AnomalyReport] =
+  def detectBatch(spark: SparkSession, raw: Dataset[RawLog],
+                  models: Models): Dataset[MoniLogPipeline.AnomalyReport] =
     MoniLogPipeline.pipeline(raw, broadcastModels(spark, models),
-                             broadcastClassifier(spark, classifier), gap)
+                             broadcastClassifier(spark, new PoolClassifier()))
 }

@@ -17,8 +17,8 @@ import scala.collection.mutable
   * variable parts — the dependence experiment T6 quantifies via the
   * paper's Eq. 1 token metric.
   */
-class QuantDetector(val zThreshold: Double = 6.0, val minSamples: Int = 20)
-    extends Serializable {
+class QuantDetector(val zThreshold: Double = 6.0) extends Serializable {
+  import QuantDetector.MinSamples
 
   private final class Stats extends Serializable {
     var n = 0L; var sum = 0.0; var sumSq = 0.0
@@ -53,7 +53,7 @@ class QuantDetector(val zThreshold: Double = 6.0, val minSamples: Int = 20)
       for {
         d <- parseNum(v)
         s <- stats.get((templateId, slot))
-        if s.n >= minSamples && s.std > 1e-9
+        if s.n >= MinSamples && s.std > 1e-9
       } {
         val z = math.abs(d - s.mean) / s.std
         if (z > worst) worst = z
@@ -71,4 +71,10 @@ class QuantDetector(val zThreshold: Double = 6.0, val minSamples: Int = 20)
       t.toDoubleOption
     else None
   }
+}
+
+object QuantDetector {
+
+  /** Observations a slot needs before it can score. */
+  private val MinSamples = 20
 }

@@ -7,11 +7,12 @@ import repro.parse.Preprocess
   * Both cited systems survive log-statement instability by mapping a new
   * (variant) template near its origin template in a semantic vector
   * space. This class reproduces that mechanism with normalized lexical
-  * overlap: an unseen template is mapped onto the known template with the
-  * highest token-set similarity when it clears `tau`, otherwise it is
-  * reported as genuinely novel. Combined with [[NGramModel]] this gives
-  * the "robust" detector of experiment T3; without it the exact-id model
-  * reproduces DeepLog's collapse under instability.
+  * overlap: an unseen template is mapped onto the known template whose
+  * static tokens it covers best when that coverage clears `tau`,
+  * otherwise it is reported as genuinely novel. Combined with
+  * [[NGramModel]] this gives the "robust" detector of experiment T3;
+  * without it the exact-id model reproduces DeepLog's collapse under
+  * instability.
   */
 class SemanticMatcher(
     knownTemplates: Map[Int, Seq[String]],
@@ -30,14 +31,6 @@ class SemanticMatcher(
 
   private val known: Seq[(Int, Set[String])] =
     knownTemplates.toSeq.sortBy(_._1).map { case (id, toks) => id -> keyTokens(toks) }
-
-  /** Jaccard similarity of normalized static-token sets. */
-  def similarity(a: Seq[String], b: Seq[String]): Double = {
-    val sa = keyTokens(a); val sb = keyTokens(b)
-    if (sa.isEmpty && sb.isEmpty) 1.0
-    else if (sa.isEmpty || sb.isEmpty) 0.0
-    else sa.intersect(sb).size.toDouble / sa.union(sb).size
-  }
 
   /** Map an unseen template's tokens onto the closest known template id,
     * when the match clears tau.

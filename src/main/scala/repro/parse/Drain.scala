@@ -27,7 +27,6 @@ class Drain(
     val depth: Int = 4,
     val simThreshold: Double = 0.4,
     val maxChildren: Int = 100,
-    val maskFirst: Boolean = false,
 ) extends Serializable {
 
   /** A leaf group: mined template plus its stable id. */
@@ -45,16 +44,13 @@ class Drain(
   /** All mined templates, id → token vector. */
   def templates: Map[Int, Vector[String]] = byId.view.mapValues(_.template).toMap
 
-  def templateOf(id: Int): Vector[String] = byId(id).template
-
   /** Parse one message online: returns the group id, learning as needed. */
   def parse(message: String): Int = parseTokens(Preprocess.tokenize(message))
 
   /** Parse pre-tokenized input online. */
-  def parseTokens(raw: Vector[String]): Int = synchronized {
+  def parseTokens(tokens: Vector[String]): Int = synchronized {
     index = null
-    val tokens = if (maskFirst) Preprocess.mask(raw) else raw
-    val leaf   = descend(tokens)
+    val leaf = descend(tokens)
     bestGroup(leaf.groups, tokens) match {
       case Some(g) =>
         g.template = merge(g.template, tokens)
@@ -77,12 +73,11 @@ class Drain(
   /** Lock-free: reads the frozen [[Index]], building it on the first call
     * after the last [[parseTokens]]. Safe to call from many threads.
     */
-  def matchTokens(raw: Vector[String]): Option[Int] = {
-    val tokens = if (maskFirst) Preprocess.mask(raw) else raw
-    val ix     = { val i = index; if (i ne null) i else freeze() }
-    var node   = ix.root(tokens.length)
-    val n      = math.min(tokens.length, depth - 2)
-    var i      = 0
+  def matchTokens(tokens: Vector[String]): Option[Int] = {
+    val ix   = { val i = index; if (i ne null) i else freeze() }
+    var node = ix.root(tokens.length)
+    val n    = math.min(tokens.length, depth - 2)
+    var i    = 0
     while (i < n && (node ne null)) {
       val t = tokens(i)
       node = node.child(if (Preprocess.looksVariable(t)) "<*>" else t)

@@ -4,11 +4,7 @@ package repro.parse
   *
   * Implements the paper's recommended preliminary step (§IV): extract
   * structured (JSON) data concatenated to the free text *before* parsing,
-  * which shortens messages and raises template-discovery rates. Also
-  * provides the optional regex masking step classic parsers use for
-  * common variables (IPs, numbers, ids) — kept separate so experiments
-  * can run parsers with and without human-crafted preprocessing, the
-  * automation limit the paper studies.
+  * which shortens messages and raises template-discovery rates.
   */
 object Preprocess {
 
@@ -75,7 +71,7 @@ object Preprocess {
     JsonPair.findAllMatchIn(payload).map(m => (m.group(1), m.group(2).trim)).toSeq
 
   /** Does the token look like a variable? Used for Drain's digit-aware
-    * tree descent and for the optional masking preprocessing. One scan,
+    * tree descent and by the semantic matcher. One scan,
     * equal to: after one trailing `,` is stripped, the token holds a digit
     * or is an id matching `(blk|vol|req|i)[-_][\w-]+`. (Numbers and IPs
     * hold a digit.)
@@ -97,10 +93,4 @@ object Preprocess {
   /** Regex `[\w-]`. */
   private def isIdChar(c: Char): Boolean =
     (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '_' || c == '-'
-
-  /** Human-crafted regex masking (the costly expert step the paper wants
-    * to remove): variables → `<*>` before template mining.
-    */
-  def mask(tokens: Vector[String]): Vector[String] =
-    tokens.map(t => if (looksVariable(t)) "<*>" else t)
 }

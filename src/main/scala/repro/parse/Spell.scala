@@ -46,17 +46,6 @@ class Spell(val tau: Double = 0.5) extends Serializable {
     }
   }
 
-  /** Frozen lookup for streaming application (no learning). */
-  def matchTokens(tokens: Vector[String]): Option[Int] = synchronized {
-    var best: Group = null
-    var bestLcs     = 0
-    groups.foreach { g =>
-      val l = lcsLength(g.template.filter(_ != "<*>"), tokens)
-      if (l > bestLcs) { bestLcs = l; best = g }
-    }
-    if (best != null && bestLcs >= tau * tokens.length) Some(best.id) else None
-  }
-
   /** Classic O(m·n) LCS length. Template vocabularies are small (tens of
     * groups, ≤ ~20 tokens each) so this stays cheap at corpus scale.
     */

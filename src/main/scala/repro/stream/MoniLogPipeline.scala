@@ -3,7 +3,7 @@ package repro.stream
 import java.sql.Timestamp
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.StreamingQuery
 
@@ -15,7 +15,7 @@ import repro.parse.{Drain, Preprocess, TemplateOps}
   *
   *   multi-source raw stream
   *     → (1) parsing: frozen Drain + semantic matcher for novel templates
-  *     → (2) sequence structuring: watermarked tumbling-window aggregation
+  *     → (2) sequence structuring: watermarked session-window aggregation
   *           keyed by (window, source, sessionId)
   *     → (2') detection: sequential (n-gram top-g) + quantitative (value
   *            model) over each structured sequence → anomaly reports
@@ -76,7 +76,6 @@ object MoniLogPipeline {
       sequential: NGramModel,
       quantitative: QuantDetector,
       templates: Map[Int, Vector[String]],
-      zThreshold: Double = 6.0,
   ) extends Serializable
 
   // ----------------------------------------------------------------
@@ -115,6 +114,14 @@ object MoniLogPipeline {
   // step 2 — sequence structuring (windowed aggregation)
   // ----------------------------------------------------------------
 
+  /** Silence that closes a session: two events of one (source, sessionId)
+    * at most this far apart share a sequence.
+    */
+  val SessionGap = "5 seconds"
+
+  /** How late an event may arrive before the streaming query drops it. */
+  val Watermark = "5 seconds"
+
   /** Watermarked session-window aggregation keyed by (source, sessionId);
     * events inside a group are time-ordered. Session windows (gap-based)
     * rather than tumbling windows so an execution flow is never cut at an
@@ -122,14 +129,13 @@ object MoniLogPipeline {
     * Works on both batch and streaming Datasets (append mode emits once
     * the watermark passes a session's close).
     */
-  def sequence(parsed: Dataset[ParsedEvent], gap: String = "5 seconds",
-               watermark: String = "5 seconds"): Dataset[SeqRow] = {
+  def sequence(parsed: Dataset[ParsedEvent]): Dataset[SeqRow] = {
     val spark = parsed.sparkSession
     import spark.implicits._
     val withWm =
-      if (parsed.isStreaming) parsed.withWatermark("ts", watermark) else parsed
+      if (parsed.isStreaming) parsed.withWatermark("ts", Watermark) else parsed
     withWm
-      .groupBy(session_window(col("ts"), gap) as "w", col("source"), col("sessionId"))
+      .groupBy(session_window(col("ts"), SessionGap) as "w", col("source"), col("sessionId"))
       .agg(sort_array(collect_list(struct(
         col("ts") as "ts", col("templateId") as "templateId", col("vars") as "vars"
       ))) as "events")
@@ -152,7 +158,7 @@ object MoniLogPipeline {
       i -> (if (e.templateId == NovelId) 0.0
             else models.quantitative.score(e.templateId, e.vars))
     }
-    val quantBad = quantScores.collect { case (i, z) if z > models.zThreshold => i }
+    val quantBad = quantScores.collect { case (i, z) if z > models.quantitative.zThreshold => i }
     if (seqBad.isEmpty && quantBad.isEmpty) None
     else {
       val kind  = if (seqBad.nonEmpty) "sequential" else "quantitative"
@@ -191,18 +197,13 @@ object MoniLogPipeline {
 
   /** Full pipeline over a (possibly streaming) raw Dataset. */
   def pipeline(raw: Dataset[RawLog], models: Broadcast[Models],
-               classifier: Broadcast[PoolClassifier],
-               gap: String = "5 seconds",
-               watermark: String = "5 seconds"): Dataset[AnomalyReport] =
-    classify(detect(sequence(parseStream(raw, models), gap, watermark), models),
-             classifier)
+               classifier: Broadcast[PoolClassifier]): Dataset[AnomalyReport] =
+    classify(detect(sequence(parseStream(raw, models)), models), classifier)
 
   /** Launch the streaming query into an in-memory sink (tests / demos). */
   def runToMemory(raw: Dataset[RawLog], models: Broadcast[Models],
-                  classifier: Broadcast[PoolClassifier], queryName: String,
-                  gap: String = "5 seconds",
-                  watermark: String = "5 seconds"): StreamingQuery =
-    pipeline(raw, models, classifier, gap, watermark).writeStream
+                  classifier: Broadcast[PoolClassifier], queryName: String): StreamingQuery =
+    pipeline(raw, models, classifier).writeStream
       .format("memory")
       .queryName(queryName)
       .outputMode("append")

@@ -28,7 +28,7 @@ object T6QuantDetection {
   final case class Row(condition: String, tokenAccuracy: Double, prf: PRF)
 
   def run(spark: SparkSession, nSessions: Long = 4000, anomalyRate: Double = 0.05,
-          zThreshold: Double = 6.0, seed: Long = 42L): Seq[Row] = {
+          seed: Long = 42L): Seq[Row] = {
     val corpus = LogSynth.hdfsLike(spark, nSessions, anomalyRate, quantShare = 1.0, seed)
     val all    = corpus.collect().sortBy(_.lineId)
     val cut    = (nSessions * 0.6).toLong * 64
@@ -36,14 +36,13 @@ object T6QuantDetection {
 
     // oracle condition: ground-truth templates and variables
     val oracle = Row("oracle (ground truth)", 1.0,
-      evalCondition(all, isTrain, zThreshold,
-                    l => Some((l.templateId, l.variables))))
+      evalCondition(all, isTrain, l => Some((l.templateId, l.variables))))
 
     // parsed conditions: assign online over the full stream, then extract
     // variables via the final mined templates
     def parsedCondition(name: String, outcome: ParserHarness.Outcome): Row = {
       val assign = outcome.assignments.toMap
-      val prf = evalCondition(all, isTrain, zThreshold, { l =>
+      val prf = evalCondition(all, isTrain, { l =>
         assign.get(l.lineId).map { tid =>
           val toks = Preprocess.tokenize(l.message)
           (tid, outcome.templates.get(tid).map(t => TemplateOps.extractVars(t, toks)).getOrElse(Nil))
@@ -83,15 +82,14 @@ object T6QuantDetection {
 
   /** Fit on normal training lines, decide per test session. */
   private def evalCondition(all: Array[LogLine], isTrain: LogLine => Boolean,
-                            zThreshold: Double,
                             parse: LogLine => Option[(Int, Seq[String])]): PRF = {
-    val quant = new QuantDetector(zThreshold)
+    val quant = new QuantDetector()
     all.iterator.filter(l => isTrain(l) && l.sessionLabel == "normal").foreach { l =>
       parse(l).foreach { case (tid, vars) => quant.observe(tid, vars) }
     }
     val decisions = all.filterNot(isTrain).groupBy(_.sessionId).values.map { lines =>
       val anomalous = lines.exists { l =>
-        parse(l).exists { case (tid, vars) => quant.score(tid, vars) > zThreshold }
+        parse(l).exists { case (tid, vars) => quant.isAnomaly(tid, vars) }
       }
       (anomalous, lines.head.sessionLabel == "quantitative")
     }

@@ -35,7 +35,7 @@ class QuantDetectorSpec extends AnyFunSuite {
   }
 
   test("below minSamples the slot stays silent") {
-    val q = new QuantDetector(zThreshold = 6.0, minSamples = 20)
+    val q = new QuantDetector(zThreshold = 6.0)
     (1 to 5).foreach(_ => q.observe(1, Seq("100")))
     assert(q.score(1, Seq("100000")) == 0.0)
   }

@@ -37,19 +37,10 @@ class SemanticMatcherSpec extends AnyFunSuite {
     assert(strict.mapTemplate(Seq("Transmitting", "9", "bytes", "src:", "x", "dest:", "y")).isEmpty)
   }
 
-  test("similarity is symmetric and in [0,1]") {
-    val a = templates(1); val b = templates(3)
-    val s1 = m.similarity(a, b); val s2 = m.similarity(b, a)
-    assert(s1 == s2)
-    assert(s1 >= 0.0 && s1 <= 1.0)
-  }
-
-  test("similarity of identical static sets is 1") {
-    assert(m.similarity(templates(2), templates(2)) == 1.0)
-  }
-
   test("wildcards are ignored in comparison") {
-    assert(m.similarity(Seq("a", "<*>", "b"), Seq("a", "b")) == 1.0)
+    val strict = new SemanticMatcher(Map(1 -> Seq("a", "<*>", "b")), tau = 1.0)
+    assert(strict.mapTemplate(Seq("a", "b")).contains(1))
+    assert(strict.mapTemplate(Seq("a", "<*>", "<*>", "b")).contains(1))
   }
 
   test("mapMessage tokenizes then maps") {

@@ -23,7 +23,7 @@ class DrainSpec extends AnyFunSuite {
     val a = d.parse("Sending 138 bytes src: 10.250.11.53 dest: 10.250.11.54")
     val b = d.parse("Sending 999 bytes src: 10.250.11.11 dest: 10.250.11.12")
     assert(a == b)
-    assert(d.templateOf(a) ==
+    assert(d.templates(a) ==
       Vector("Sending", "<*>", "bytes", "src:", "<*>", "dest:", "<*>"))
   }
 
@@ -44,7 +44,7 @@ class DrainSpec extends AnyFunSuite {
   test("static tokens stay static") {
     val d = new Drain()
     (1 to 10).foreach(i => d.parse(s"Received ack for $i packets"))
-    assert(d.templateOf(0) == Vector("Received", "ack", "for", "<*>", "packets"))
+    assert(d.templates(0) == Vector("Received", "ack", "for", "<*>", "packets"))
   }
 
   test("templates map holds every mined group") {
@@ -201,7 +201,6 @@ object DrainSpec {
   val Configs: Seq[(String, () => Drain)] = Seq(
     "default"       -> (() => new Drain()),
     "maxChildren=2" -> (() => new Drain(maxChildren = 2)),
-    "maskFirst"     -> (() => new Drain(maskFirst = true)),
   )
 
   def core(l: LogLine): String = Preprocess.extractStructured(l.message)._1
@@ -223,7 +222,6 @@ object DrainSpec {
   private def ids(s: String): Seq[Int] = s.trim.split("\\s+").toSeq.map(_.toInt)
 
   // Recorded with the synchronized tree walk that preceded the frozen index.
-  // maskFirst gave the same ids as the default configuration on both corpora.
   private val cloudDefault = """
     0 1 1 1 2 4 5 -1 6 6 6 6 7 8 9 10 11 12 13 14 14 14 15 0 1 1 1 2 1 3 -1 5 6 6 6 6 6 6 7
     8 9 10 11 12 13 14 14 14 15 0 1 1 2 3 4 4 5 6 6 6 -1 6 -1 8 9 10 11 12 13 -1 14 15 -1 1
@@ -279,9 +277,7 @@ object DrainSpec {
   val Golden: Map[(String, String), Seq[Int]] = Map(
     ("cloud", "default")       -> ids(cloudDefault),
     ("cloud", "maxChildren=2") -> ids(cloudMaxChildren2),
-    ("cloud", "maskFirst")     -> ids(cloudDefault),
     ("hdfs", "default")        -> ids(hdfsDefault),
     ("hdfs", "maxChildren=2")  -> ids(hdfsMaxChildren2),
-    ("hdfs", "maskFirst")      -> ids(hdfsDefault),
   )
 }

@@ -120,11 +120,6 @@ class PreprocessSpec extends AnyFunSuite {
     assert(!Preprocess.looksVariable("src:"))
   }
 
-  test("mask replaces variable-looking tokens with <*>") {
-    assert(Preprocess.mask(Vector("Sending", "42", "bytes")) ==
-      Vector("Sending", "<*>", "bytes"))
-  }
-
   test("tokenize-then-join roundtrips single-space messages (100 random cases)") {
     val rng = new Random(1)
     (1 to 100).foreach { _ =>

@@ -47,19 +47,6 @@ class SpellSpec extends AnyFunSuite {
     assert(s.lcsLength(Vector("a", "b", "c"), Vector("a", "b", "c")) == 3)
   }
 
-  test("matchTokens finds groups without learning") {
-    val s = new Spell()
-    val id = s.parse("Receiving block b1 src: h1 dest: h2")
-    s.parse("Receiving block b2 src: h3 dest: h4")
-    val before = s.templates.size
-    assert(s.matchTokens(Preprocess.tokenize("Receiving block b9 src: h7 dest: h8")).contains(id))
-    assert(s.templates.size == before)
-  }
-
-  test("matchTokens is None on an empty parser") {
-    assert(new Spell().matchTokens(Vector("a", "b")).isEmpty)
-  }
-
   test("ids are stable as templates refine") {
     val s = new Spell()
     val a = s.parse("PacketResponder 1 for block b1 terminating")
@@ -76,10 +63,10 @@ class SpellSpec extends AnyFunSuite {
       .map(td => repro.logs.LogSynth.instantiate(td, rng, quantAnomaly = false)._1)
     msgs.foreach(s.parse)
     // Spell may split a template whose variables dominate, but must not
-    // collapse distinct statements
+    // collapse distinct statements; ids at or above `mined` are new groups
+    val mined = s.templates.size
     val ids = tds.map(td =>
-      s.matchTokens(Preprocess.tokenize(
-        repro.logs.LogSynth.instantiate(td, rng, quantAnomaly = false)._1)))
-    assert(ids.flatten.distinct.size >= tds.size - 1)
+      s.parse(repro.logs.LogSynth.instantiate(td, rng, quantAnomaly = false)._1))
+    assert(ids.filter(_ < mined).distinct.size >= tds.size - 1)
   }
 }

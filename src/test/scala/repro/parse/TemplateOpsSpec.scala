@@ -30,7 +30,7 @@ class TemplateOpsSpec extends AnyFunSuite {
     val d = new Drain()
     val id = d.parse("job 17 done in 42 ms")
     d.parse("job 18 done in 57 ms")
-    val vars = TemplateOps.extractVars(d.templateOf(id),
+    val vars = TemplateOps.extractVars(d.templates(id),
                                        Preprocess.tokenize("job 99 done in 3 ms"))
     assert(vars == Seq("99", "3"))
   }

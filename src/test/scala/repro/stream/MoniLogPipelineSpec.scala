@@ -68,7 +68,7 @@ class MoniLogPipelineSpec extends SparkSpec {
       ParsedEvent(ts(2), "jobs", "s1", 1, matchedExact = true, Seq("42")),
       ParsedEvent(ts(1), "jobs", "s2", 0, matchedExact = true, Seq("n2")),
     ).toDS()
-    val rows = sequence(parsed, "10 seconds").collect().sortBy(_.sessionId)
+    val rows = sequence(parsed).collect().sortBy(_.sessionId)
     assert(rows.map(_.sessionId).toSeq == Seq("s1", "s2"))
     assert(rows.head.events.map(_.templateId) == Seq(0, 1))
   }
@@ -92,6 +92,18 @@ class MoniLogPipelineSpec extends SparkSpec {
     val rep = detectOne(models, row)
     assert(rep.exists(_.kind == "quantitative"))
     assert(rep.exists(_.score > 6.0))
+  }
+
+  test("detectOne applies the bundle's value-model threshold") {
+    // the fixture's slot is 40..44, mean 42, std √2: 48 scores z ≈ 4.2
+    val quant = new QuantDetector(zThreshold = 3.0)
+    (1 to 60).foreach(i => quant.observe(1, Seq(s"${40 + i % 5}")))
+    val row = SeqRow(ts(0), "jobs", "s1", Seq(
+      EventRec(ts(1), 0, Seq("n1")), EventRec(ts(2), 1, Seq("48"))))
+    assert(detectOne(models, row).isEmpty)
+    val rep = detectOne(models.copy(quantitative = quant), row)
+    assert(rep.exists(_.kind == "quantitative"))
+    assert(rep.exists(r => r.score > 4.0 && r.score < 4.5))
   }
 
   test("detectOne treats a novel template as sequential anomaly") {
@@ -133,7 +145,7 @@ class MoniLogPipelineSpec extends SparkSpec {
     val query = MoniLogPipeline.runToMemory(
       mem.toDS(), MoniLog.broadcastModels(spark, models),
       MoniLog.broadcastClassifier(spark, new PoolClassifier()),
-      queryName = "monilog_test", gap = "10 seconds", watermark = "5 seconds")
+      queryName = "monilog_test")
     try {
       mem.addData(
         raw(1, "ok", "task started on node n7"),
