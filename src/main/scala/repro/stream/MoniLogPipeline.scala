@@ -4,8 +4,10 @@ import java.sql.Timestamp
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.catalyst.util.IntervalUtils
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.StreamingQuery
+import org.apache.spark.unsafe.types.UTF8String
 
 import repro.classify.PoolClassifier
 import repro.detect.{NGramModel, QuantDetector, SemanticMatcher}
@@ -15,8 +17,10 @@ import repro.parse.{Drain, Preprocess, TemplateOps}
   *
   *   multi-source raw stream
   *     → (1) parsing: frozen Drain + semantic matcher for novel templates
-  *     → (2) sequence structuring: watermarked session-window aggregation
-  *           keyed by (window, source, sessionId)
+  *     → (2) sequence structuring: per-(source, sessionId) sequences cut
+  *           at silences longer than the session gap — for batch input one
+  *           shuffle, a sort and a linear gap cut; for streaming input a
+  *           watermarked `session_window` aggregation
   *     → (2') detection: sequential (n-gram top-g) + quantitative (value
   *            model) over each structured sequence → anomaly reports
   *     → (3) classification: pool + criticality from the feedback-trained
@@ -86,6 +90,8 @@ object MoniLogPipeline {
     * streaming map, batch evaluation and tests.
     */
   def parseOne(models: Models, raw: RawLog): ParsedEvent = {
+    // a record without a message (a malformed line) is one no component can match
+    if (raw.message == null) return novel(raw)
     val (core, _) = Preprocess.extractStructured(raw.message)
     val tokens    = Preprocess.tokenize(core)
     models.parser.matchTokens(tokens) match {
@@ -97,11 +103,13 @@ object MoniLogPipeline {
           case Some(id) =>
             val vars = TemplateOps.extractVars(models.templates(id), tokens)
             ParsedEvent(raw.ts, raw.source, raw.sessionId, id, matchedExact = false, vars)
-          case None =>
-            ParsedEvent(raw.ts, raw.source, raw.sessionId, NovelId, matchedExact = false, Nil)
+          case None => novel(raw)
         }
     }
   }
+
+  private def novel(raw: RawLog): ParsedEvent =
+    ParsedEvent(raw.ts, raw.source, raw.sessionId, NovelId, matchedExact = false, Nil)
 
   /** Step 1 as a stream transformation. */
   def parseStream(raw: Dataset[RawLog], models: Broadcast[Models]): Dataset[ParsedEvent] = {
@@ -111,7 +119,7 @@ object MoniLogPipeline {
   }
 
   // ----------------------------------------------------------------
-  // step 2 — sequence structuring (windowed aggregation)
+  // step 2 — sequence structuring (gap-cut sessions)
   // ----------------------------------------------------------------
 
   /** Silence that closes a session: two events of one (source, sessionId)
@@ -122,29 +130,66 @@ object MoniLogPipeline {
   /** How late an event may arrive before the streaming query drops it. */
   val Watermark = "5 seconds"
 
-  /** Watermarked session-window aggregation keyed by (source, sessionId);
-    * events inside a group are time-ordered. Session windows (gap-based)
-    * rather than tumbling windows so an execution flow is never cut at an
-    * arbitrary boundary — the structuring MoniLog's detection step needs.
-    * Works on both batch and streaming Datasets (append mode emits once
-    * the watermark passes a session's close).
+  /** [[SessionGap]] in microseconds, Spark's timestamp resolution. */
+  private val SessionGapMicros: Long =
+    IntervalUtils.stringToInterval(UTF8String.fromString(SessionGap)).microseconds
+
+  /** Per-(source, sessionId) sequences, events ordered by (ts, templateId,
+    * vars), cut wherever two consecutive events are more than [[SessionGap]]
+    * apart. Gap-based sessions rather than tumbling windows, so an
+    * execution flow is never cut at an arbitrary boundary — the structuring
+    * MoniLog's detection step needs. `windowStart` is the first event's ts;
+    * events without a ts are dropped.
+    *
+    * Batch input takes one shuffle on the key, a sort within each
+    * partition and a linear gap cut. Streaming input takes a watermarked
+    * `session_window` aggregation, whose state store holds open sessions
+    * across micro-batches; append mode emits a sequence once the watermark
+    * passes its close. Both give the same rows.
     */
   def sequence(parsed: Dataset[ParsedEvent]): Dataset[SeqRow] = {
     val spark = parsed.sparkSession
     import spark.implicits._
-    val withWm =
-      if (parsed.isStreaming) parsed.withWatermark("ts", Watermark) else parsed
-    withWm
-      .groupBy(session_window(col("ts"), SessionGap) as "w", col("source"), col("sessionId"))
-      .agg(sort_array(collect_list(struct(
-        col("ts") as "ts", col("templateId") as "templateId", col("vars") as "vars"
-      ))) as "events")
-      .select(
-        col("w.start") as "windowStart",
-        col("source"), col("sessionId"), col("events"),
-      )
-      .as[SeqRow]
+    if (parsed.isStreaming)
+      parsed.withWatermark("ts", Watermark)
+        .groupBy(session_window(col("ts"), SessionGap) as "w", col("source"), col("sessionId"))
+        .agg(sort_array(collect_list(struct(
+          col("ts") as "ts", col("templateId") as "templateId", col("vars") as "vars"
+        ))) as "events")
+        .select(
+          col("w.start") as "windowStart",
+          col("source"), col("sessionId"), col("events"),
+        )
+        .as[SeqRow]
+    else
+      parsed.filter(col("ts").isNotNull)
+        .repartition(col("source"), col("sessionId"))
+        .sortWithinPartitions(col("source"), col("sessionId"), col("ts"),
+                              col("templateId"), col("vars"))
+        .mapPartitions(cutSessions)
   }
+
+  /** Cut events sorted by (source, sessionId, ts, …) into sequences. */
+  private def cutSessions(sorted: Iterator[ParsedEvent]): Iterator[SeqRow] = new Iterator[SeqRow] {
+    private val in = sorted.buffered
+    def hasNext: Boolean = in.hasNext
+    def next(): SeqRow = {
+      val first  = in.next()
+      val events = Vector.newBuilder[EventRec]
+      events += EventRec(first.ts, first.templateId, first.vars)
+      var last = micros(first.ts)
+      while (in.hasNext && in.head.source == first.source && in.head.sessionId == first.sessionId
+             && micros(in.head.ts) - last <= SessionGapMicros) {
+        val e = in.next()
+        events += EventRec(e.ts, e.templateId, e.vars)
+        last = micros(e.ts)
+      }
+      SeqRow(first.ts, first.source, first.sessionId, events.result())
+    }
+  }
+
+  private def micros(ts: Timestamp): Long =
+    Math.floorDiv(ts.getTime, 1000L) * 1000000L + ts.getNanos / 1000
 
   // ----------------------------------------------------------------
   // step 2' — detection

@@ -62,6 +62,11 @@ class MoniLogPipelineSpec extends SparkSpec {
     assert(ev.vars == Seq("44"))
   }
 
+  test("parseOne reads a record without a message as a NovelId event") {
+    val ev = parseOne(models, raw(1, "s1", null))
+    assert(ev == ParsedEvent(ts(1), "jobs", "s1", NovelId, matchedExact = false, Nil))
+  }
+
   test("sequence groups batch events by window/source/session in order") {
     val parsed = Seq(
       ParsedEvent(ts(1), "jobs", "s1", 0, matchedExact = true, Seq("n1")),
@@ -139,27 +144,43 @@ class MoniLogPipelineSpec extends SparkSpec {
     assert(out.map(_.sessionId).toSeq == Seq("bad"))
   }
 
-  test("streaming end-to-end over MemoryStream emits anomalies after the watermark") {
+  /** Reports of the streaming pipeline over `rows`, once a later flush row
+    * has moved the watermark past their sessions; the query must still run.
+    */
+  private def streamed(queryName: String, rows: RawLog*): Seq[AnomalyReport] = {
     implicit val sql = spark.sqlContext
     val mem = MemoryStream[RawLog]
     val query = MoniLogPipeline.runToMemory(
       mem.toDS(), MoniLog.broadcastModels(spark, models),
-      MoniLog.broadcastClassifier(spark, new PoolClassifier()),
-      queryName = "monilog_test")
+      MoniLog.broadcastClassifier(spark, new PoolClassifier()), queryName)
     try {
-      mem.addData(
-        raw(1, "ok", "task started on node n7"),
-        raw(2, "ok", "task finished after 43 ms"),
-        raw(4, "bad", "task finished after 41 ms"),
-        raw(5, "bad", "task started on node n2"),
-      )
+      mem.addData(rows)
       query.processAllAvailable()
       // advance event time far past the first window so it closes
       mem.addData(raw(100, "flush", "task started on node n1"))
       query.processAllAvailable()
-      val out = spark.table("monilog_test").as[AnomalyReport].collect()
-      assert(out.map(_.sessionId).toSeq == Seq("bad"))
-      assert(out.head.kind == "sequential")
+      assert(query.isActive && query.exception.isEmpty)
+      spark.table(queryName).as[AnomalyReport].collect().toSeq
     } finally query.stop()
+  }
+
+  test("streaming end-to-end over MemoryStream emits anomalies after the watermark") {
+    val out = streamed("monilog_test",
+      raw(1, "ok", "task started on node n7"),
+      raw(2, "ok", "task finished after 43 ms"),
+      raw(4, "bad", "task finished after 41 ms"),
+      raw(5, "bad", "task started on node n2"),
+    )
+    assert(out.map(_.sessionId) == Seq("bad"))
+    assert(out.head.kind == "sequential")
+  }
+
+  test("a streaming query survives a record without a message and reports its session") {
+    val out = streamed("monilog_poison",
+      raw(1, "ok", "task started on node n7"),
+      raw(2, "ok", "task finished after 43 ms"),
+      raw(3, "poison", null),
+    )
+    assert(out.map(r => (r.sessionId, r.kind, r.events)) == Seq(("poison", "sequential", Seq(NovelId))))
   }
 }

@@ -2,32 +2,69 @@ package repro.stream
 
 import java.sql.Timestamp
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 
 import repro.{Oracle, SparkSpec}
+import repro.logs.{Instability, LogSynth}
 import repro.stream.MoniLogPipeline._
 
-/** Session-window structuring behaviour (MoniLog step 2) in isolation. */
+/** Sequence structuring (MoniLog step 2) in isolation.
+  *
+  * Every case runs `sequence` twice: over a batch Dataset, and over a
+  * `MemoryStream` into a memory sink, closed by a flush row an hour later.
+  * The two paths must give the same rows.
+  */
 class SequenceWindowSpec extends SparkSpec {
 
   import spark.implicits._
 
+  private val Base = 1700000000000L
+
   private def ev(sec: Int, session: String, tid: Int) = evMs(sec * 1000L, session, tid)
 
   private def evMs(ms: Long, session: String, tid: Int) =
-    ParsedEvent(new Timestamp(1700000000000L + ms), "src", session, tid,
-                matchedExact = true, Nil)
+    ParsedEvent(new Timestamp(Base + ms), "src", session, tid, matchedExact = true, Nil)
+
+  /** `sequence` of `events` on both paths, which must agree; in canonical order. */
+  private def sequences(events: Seq[ParsedEvent]): Seq[SeqRow] = {
+    val batch = canonical(MoniLogPipeline.sequence(events.toDS()).collect().toSeq)
+    assert(streamed(events) == batch, "the streaming path disagrees with the batch path")
+    batch
+  }
+
+  private var queries = 0
+
+  private def streamed(events: Seq[ParsedEvent]): Seq[SeqRow] = {
+    implicit val sql = spark.sqlContext
+    val mem   = MemoryStream[ParsedEvent]
+    queries += 1
+    val name  = s"sequence_window_$queries"
+    val query = MoniLogPipeline.sequence(mem.toDS()).writeStream
+      .format("memory").queryName(name).outputMode("append").start()
+    try {
+      mem.addData(events)
+      query.processAllAvailable()
+      // an event an hour past the last one moves the watermark past every session
+      val last = events.flatMap(e => Option(e.ts)).map(_.getTime).maxOption.getOrElse(Base)
+      mem.addData(ParsedEvent(new Timestamp(last + 3600000L), "flush", "flush", 0,
+                              matchedExact = true, Nil))
+      query.processAllAvailable()
+      canonical(spark.table(name).as[SeqRow].collect().toSeq)
+    } finally query.stop()
+  }
+
+  private def canonical(rows: Seq[SeqRow]): Seq[SeqRow] =
+    rows.sortBy(r => (Option(r.source), Option(r.sessionId), r.windowStart.getTime,
+                      r.windowStart.getNanos))
 
   test("a session with small gaps stays one sequence") {
-    val parsed = Seq(ev(1, "s", 0), ev(2, "s", 1), ev(3, "s", 2)).toDS()
-    val rows = MoniLogPipeline.sequence(parsed).collect()
+    val rows = sequences(Seq(ev(1, "s", 0), ev(2, "s", 1), ev(3, "s", 2)))
     assert(rows.length == 1)
     assert(rows.head.events.map(_.templateId) == Seq(0, 1, 2))
   }
 
   test("a silence larger than the gap splits the sequence") {
-    val parsed = Seq(ev(1, "s", 0), ev(2, "s", 1), ev(30, "s", 2)).toDS()
-    val rows = MoniLogPipeline.sequence(parsed).collect().sortBy(_.windowStart.getTime)
+    val rows = sequences(Seq(ev(1, "s", 0), ev(2, "s", 1), ev(30, "s", 2)))
     assert(rows.length == 2)
     assert(rows.head.events.map(_.templateId) == Seq(0, 1))
     assert(rows.last.events.map(_.templateId) == Seq(2))
@@ -35,39 +72,71 @@ class SequenceWindowSpec extends SparkSpec {
 
   test("events exactly SessionGap apart stay one sequence, 1 ms more splits them") {
     assert(SessionGap == "5 seconds")
-    val touching = Seq(evMs(0L, "s", 0), evMs(5000L, "s", 1)).toDS()
-    assert(MoniLogPipeline.sequence(touching).collect().map(_.events.size).toSeq == Seq(2))
-    val apart = Seq(evMs(0L, "s", 0), evMs(5001L, "s", 1)).toDS()
-    assert(MoniLogPipeline.sequence(apart).collect().map(_.events.size).toSeq == Seq(1, 1))
+    val touching = sequences(Seq(evMs(0L, "s", 0), evMs(5000L, "s", 1)))
+    assert(touching.map(_.events.size) == Seq(2))
+    val apart = sequences(Seq(evMs(0L, "s", 0), evMs(5001L, "s", 1)))
+    assert(apart.map(_.events.size) == Seq(1, 1))
+  }
+
+  test("events SessionGap + 1 µs apart split") {
+    val later = evMs(5000L, "s", 1)
+    later.ts.setNanos(later.ts.getNanos + 1000)
+    val rows = sequences(Seq(evMs(0L, "s", 0), later))
+    assert(rows.map(_.events.size) == Seq(1, 1))
+    assert(rows.last.windowStart == later.ts)
   }
 
   test("different sessions never merge even when interleaved in time") {
-    val parsed = Seq(ev(1, "a", 0), ev(1, "b", 5), ev(2, "a", 1), ev(2, "b", 6)).toDS()
-    val rows = MoniLogPipeline.sequence(parsed).collect()
+    val rows = sequences(Seq(ev(1, "a", 0), ev(1, "b", 5), ev(2, "a", 1), ev(2, "b", 6)))
     assert(rows.length == 2)
     assert(rows.map(_.sessionId).toSet == Set("a", "b"))
   }
 
   test("events are ordered by timestamp inside a sequence (out-of-order input)") {
-    val parsed = Seq(ev(3, "s", 2), ev(1, "s", 0), ev(2, "s", 1)).toDS()
-    val rows = MoniLogPipeline.sequence(parsed).collect()
+    val rows = sequences(Seq(ev(3, "s", 2), ev(1, "s", 0), ev(2, "s", 1)))
     assert(rows.head.events.map(_.templateId) == Seq(0, 1, 2))
   }
 
+  test("events with equal timestamps are ordered by (templateId, vars)") {
+    val at = (tid: Int, vars: Seq[String]) => ev(1, "s", tid).copy(vars = vars)
+    val rows = sequences(Seq(at(2, Seq("a")), at(1, Seq("b")), at(1, Seq("a", "z")),
+                             at(1, Seq("a")), ev(0, "s", 9)))
+    assert(rows.map(_.events.map(e => (e.templateId, e.vars))) == Seq(Seq(
+      (9, Nil), (1, Seq("a")), (1, Seq("a", "z")), (1, Seq("b")), (2, Seq("a")))))
+  }
+
+  test("events without a timestamp are dropped") {
+    val rows = sequences(Seq(ev(1, "s", 0), ev(2, "s", 1).copy(ts = null), ev(3, "s", 2),
+                             ev(4, "t", 3).copy(ts = null)))
+    assert(rows.map(r => (r.sessionId, r.events.map(_.templateId))) == Seq(("s", Seq(0, 2))))
+  }
+
+  test("events without a sessionId form one group") {
+    val rows = sequences(Seq(ev(1, null, 0), ev(2, "s", 5), ev(2, null, 1), ev(3, null, 2)))
+    assert(rows.map(r => (r.sessionId, r.events.map(_.templateId))) ==
+           Seq((null, Seq(0, 1, 2)), ("s", Seq(5))))
+  }
+
   test("windowStart is the first event's timestamp") {
-    val parsed = Seq(ev(7, "s", 0), ev(8, "s", 1)).toDS()
-    val rows = MoniLogPipeline.sequence(parsed).collect()
-    assert(rows.head.windowStart.getTime == 1700000000000L + 7000L)
+    val rows = sequences(Seq(ev(7, "s", 0), ev(8, "s", 1)))
+    assert(rows.head.windowStart.getTime == Base + 7000L)
   }
 
   test("per-session event counts agree with a DuckDB oracle") {
-    val parsed = (1 to 50).map(i => ev(i, s"s${i % 7}", i % 3)).toDS()
-    val sparkAgg = parsed.toDF().groupBy($"sessionId")
-      .agg(count("*").cast("long") as "n")
+    val parsed = (1 to 50).map(i => ev(i, s"s${i % 7}", i % 3))
+    val counts = sequences(parsed).groupMapReduce(_.sessionId)(_.events.size.toLong)(_ + _)
     Oracle.assertEquivalent(
-      sparkAgg,
+      counts.toSeq.toDF("sessionId", "n"),
       "SELECT sessionId, COUNT(*) AS n FROM ev GROUP BY sessionId",
-      "ev" -> parsed.toDF().select("sessionId", "templateId"),
+      "ev" -> parsed.toDS().toDF().select("sessionId", "templateId"),
     )
+  }
+
+  test("both paths give the same sequences on an unstable multi-source corpus") {
+    val lines = Instability.inject(LogSynth.cloud(spark, 600, 0.05, seed = 13), 0.2, 13)
+    val parsed = lines.map(l => ParsedEvent(l.ts, l.source, l.sessionId, l.templateId,
+                                            matchedExact = !l.unstable, l.variables))
+      .collect().toSeq
+    assert(sequences(parsed).map(_.events.size).sum == parsed.size)
   }
 }
