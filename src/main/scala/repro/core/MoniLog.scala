@@ -72,10 +72,11 @@ object MoniLog {
       .collect().map(_.events)
     bBase.destroy()
 
-    // 4. fit the sequence and value models on the same events
+    // 4. fit the n-gram on the collapsed order detectOne scores, and the
+    // value model on every event (a duplicate carries the same values)
     base.copy(
       sequential = new NGramModel(cfg.ngramOrder, cfg.topG)
-        .fit(sequences.iterator.map(_.map(_.templateId))),
+        .fit(sequences.iterator.map(s => MoniLogPipeline.collapse(s).map(_.templateId))),
       quantitative = new QuantDetector(cfg.zThreshold).fit(sequences.iterator.flatten.collect {
         case e if e.templateId != MoniLogPipeline.NovelId => (e.templateId, e.vars)
       }),

@@ -20,15 +20,18 @@ import scala.collection.mutable
 class QuantDetector(val zThreshold: Double = 6.0) extends Serializable {
   import QuantDetector.MinSamples
 
+  /** Mean and population std by Welford's updates, which stay exact where
+    * `sumSq/n − mean²` cancels (values near 1e9 with a small spread).
+    */
   private final class Stats extends Serializable {
-    var n = 0L; var sum = 0.0; var sumSq = 0.0
-    def add(v: Double): Unit = { n += 1; sum += v; sumSq += v * v }
-    def mean: Double = if (n == 0) 0.0 else sum / n
-    def std: Double = {
-      if (n < 2) return 0.0
-      val m = mean
-      math.sqrt(math.max(0.0, sumSq / n - m * m))
+    var n = 0L; var mean = 0.0; var m2 = 0.0
+    def add(v: Double): Unit = {
+      n += 1
+      val d = v - mean
+      mean += d / n
+      m2 += d * (v - mean)
     }
+    def std: Double = if (n < 2) 0.0 else math.sqrt(m2 / n)
   }
 
   private val stats = mutable.Map.empty[(Int, Int), Stats]

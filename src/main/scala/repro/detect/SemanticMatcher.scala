@@ -9,9 +9,9 @@ import repro.parse.Preprocess
   * space. This class reproduces that mechanism with normalized lexical
   * overlap: an unseen template is mapped onto the known template whose
   * static tokens it covers best when that coverage clears `tau`,
-  * otherwise it is reported as genuinely novel. Combined with
-  * [[NGramModel]] this gives the "robust" detector of experiment T3;
-  * without it the exact-id model reproduces DeepLog's collapse under
+  * otherwise it is reported as genuinely novel. `MoniLogPipeline.parseOne`
+  * falls back to it when the frozen Drain finds no match; T3's exact
+  * column, an empty matcher, reproduces DeepLog's collapse under
   * instability.
   */
 class SemanticMatcher(
@@ -61,8 +61,4 @@ class SemanticMatcher(
     }
     if (bestKey._1 >= tau) Some(bestId) else None
   }
-
-  /** Convenience: map a raw message. */
-  def mapMessage(message: String): Option[Int] =
-    mapTemplate(Preprocess.tokenize(message))
 }

@@ -24,9 +24,7 @@ import repro.logs.LogModel._
   */
 object LogSynth {
 
-  /** Generation parameters. Times are fixed (no wall clock) so runs are
-    * reproducible; sessions overlap in time, interleaving the stream.
-    */
+  /** Generation parameters. */
   final case class SynthConfig(
       sources: Seq[String],
       nSessions: Long,
@@ -34,10 +32,13 @@ object LogSynth {
       quantShare: Double = 0.4,
       payloadProb: Double = 0.7,
       seed: Long = 42L,
-      baseEpochMs: Long = 1700000000000L,
-      sessionStartGapMs: Long = 120L,
-      lineGapMeanMs: Long = 60L,
   )
+
+  // Fixed times (no wall clock) keep runs reproducible; sessions start
+  // SessionStartGapMs apart, so they overlap and interleave the stream.
+  private val BaseEpochMs       = 1700000000000L
+  private val SessionStartGapMs = 120L
+  private val LineGapMeanMs     = 60L
 
   /** Generate the corpus as a Dataset of fully labeled lines. */
   def generate(spark: SparkSession, cfg: SynthConfig): Dataset[LogLine] = {
@@ -124,10 +125,10 @@ object LogSynth {
     val effLabel = if (label == Quantitative && quantIdx < 0) Normal else label
 
     // 4. materialize lines
-    val startMs = c.baseEpochMs + sessionId * c.sessionStartGapMs + rng.nextInt(50)
+    val startMs = BaseEpochMs + sessionId * SessionStartGapMs + rng.nextInt(50)
     var ts      = startMs
     tids.zipWithIndex.map { case (tid, i) =>
-      ts += 10 + rng.nextInt((2 * c.lineGapMeanMs).toInt)
+      ts += 10 + rng.nextInt((2 * LineGapMeanMs).toInt)
       val td = Flows.allTemplates(tid)
       val quantHere = i == quantIdx
       val (coreMsg, vars) = instantiate(td, rng, quantHere)

@@ -28,7 +28,6 @@ object DistributedDrain {
   /** Parse result: per-line assignment plus the merged template table. */
   final case class Result(assignments: DataFrame, templates: Map[Int, Vector[String]])
 
-  private final case class LocalLine(lineId: Long, partition: Int, localId: Int)
   private final case class LocalTemplate(partition: Int, localId: Int, tokens: Vector[String])
 
   /** Parse `lines` (columns `lineId: Long`, `message: String`).

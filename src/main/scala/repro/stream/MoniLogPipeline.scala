@@ -22,7 +22,7 @@ import repro.parse.{Drain, Preprocess, TemplateOps}
   *           shuffle, a sort and a linear gap cut; for streaming input a
   *           watermarked `session_window` aggregation
   *     → (2') detection: sequential (n-gram top-g) + quantitative (value
-  *            model) over each structured sequence → anomaly reports
+  *            model) over each duplicate-collapsed sequence → anomaly reports
   *     → (3) classification: pool + criticality from the feedback-trained
   *           classifier snapshot
   *
@@ -195,11 +195,24 @@ object MoniLogPipeline {
   // step 2' — detection
   // ----------------------------------------------------------------
 
-  /** Detect anomalies in one structured sequence. Pure. */
+  /** Drop every event whose (templateId, vars) equals the previous kept
+    * event's: a line delivered twice (the duplicated delivery of §I) is one
+    * step of its flow. Repeats whose values differ stay.
+    */
+  def collapse(events: Seq[EventRec]): Seq[EventRec] =
+    events.foldLeft(Vector.empty[EventRec]) { (kept, e) =>
+      if (kept.lastOption.exists(p => p.templateId == e.templateId && p.vars == e.vars)) kept
+      else kept :+ e
+    }
+
+  /** Detect anomalies in one [[collapse]]d sequence; a report's `events` and
+    * `anomalousIdx` index the collapsed sequence. Pure.
+    */
   def detectOne(models: Models, row: SeqRow): Option[AnomalyReport] = {
-    val ids    = row.events.map(_.templateId)
+    val events = collapse(row.events)
+    val ids    = events.map(_.templateId)
     val seqBad = models.sequential.anomalousEvents(ids)
-    val quantScores = row.events.zipWithIndex.map { case (e, i) =>
+    val quantScores = events.zipWithIndex.map { case (e, i) =>
       i -> (if (e.templateId == NovelId) 0.0
             else models.quantitative.score(e.templateId, e.vars))
     }

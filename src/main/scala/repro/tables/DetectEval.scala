@@ -15,6 +15,9 @@ import repro.logs.LogModel.LogLine
   */
 object DetectEval {
 
+  /** Share of the groups, earliest first, that [[split]] trains on. */
+  private val TrainFrac = 0.6
+
   /** Anomaly-free training sequences + labeled test sequences. */
   final case class Split(trainSeqs: Seq[Seq[Int]], test: Seq[SessionSeq])
 
@@ -22,9 +25,9 @@ object DetectEval {
     * only — the paper insists training must not require anomalies),
     * later groups test.
     */
-  def split(seqs: Seq[SessionSeq], trainFrac: Double = 0.6): Split = {
+  def split(seqs: Seq[SessionSeq]): Split = {
     val sorted = seqs.sortBy(s => (s.start.getTime, s.key))
-    val n      = (sorted.size * trainFrac).toInt
+    val n      = (sorted.size * TrainFrac).toInt
     val (tr, te) = sorted.splitAt(n)
     Split(tr.filter(_.label == "normal").map(_.events), te)
   }
@@ -59,14 +62,14 @@ object DetectEval {
     )
   }
 
-  /** Fit and score the DeepLog-surrogate sequence model.
+  /** Fit and score the DeepLog-surrogate sequence model (order 2, top 9).
     *
     * @param checkEnd model end-of-sequence transitions; disable for
     *                 window-fragment groupings where a group boundary is
     *                 not a flow boundary
     */
-  def ngramPrf(s: Split, h: Int = 2, topG: Int = 9, checkEnd: Boolean = true): PRF = {
-    val m = new NGramModel(h, topG, checkEnd).fit(s.trainSeqs)
+  def ngramPrf(s: Split, checkEnd: Boolean = true): PRF = {
+    val m = new NGramModel(checkEnd = checkEnd).fit(s.trainSeqs)
     prf(ss => m.isAnomalous(ss.events), s.test)
   }
 }

@@ -39,6 +39,7 @@ object ParserHarness {
                      st: Double = 0.5, partitions: Int = 8): Outcome = {
     val res = DistributedDrain.parse(messages, depth, st, partitions)
     val assign = res.assignments.collect().map(r => (r.getLong(0), r.getInt(1))).toSeq
+    res.assignments.unpersist()
     Outcome(assign, res.templates)
   }
 

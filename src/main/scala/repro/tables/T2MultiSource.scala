@@ -27,8 +27,11 @@ object T2MultiSource {
 
   val Regimes: Seq[String] = Seq("session", "window+src", "window mixed")
 
+  /** Tumbling-window length of the two window regimes. */
+  private val WindowDur = "2 seconds"
+
   def run(spark: SparkSession, nSessions: Long = 4000, anomalyRate: Double = 0.01,
-          windowDur: String = "2 seconds", seed: Long = 42L): Seq[Row] = {
+          seed: Long = 42L): Seq[Row] = {
     // purely sequential anomalies: this experiment is about flow mixing,
     // and quantitative anomalies are invisible to every detector here
     val corpus = LogSynth.generate(spark, LogSynth.SynthConfig(
@@ -37,8 +40,8 @@ object T2MultiSource {
       .toDF().persist()
     val groupings: Seq[(String, Seq[EventVectorizer.SessionSeq])] = Seq(
       "session"      -> EventVectorizer.bySession(corpus).collect().toSeq,
-      "window+src"   -> EventVectorizer.byWindow(corpus, windowDur, perSource = true).collect().toSeq,
-      "window mixed" -> EventVectorizer.byWindow(corpus, windowDur, perSource = false).collect().toSeq,
+      "window+src"   -> EventVectorizer.byWindow(corpus, WindowDur, perSource = true).collect().toSeq,
+      "window mixed" -> EventVectorizer.byWindow(corpus, WindowDur, perSource = false).collect().toSeq,
     )
     val rows = groupings.flatMap { case (regime, seqs) =>
       val split = DetectEval.split(seqs)

@@ -2,13 +2,11 @@ package repro.tables
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.Metrics
+import repro.core.{Metrics, MoniLog}
 import repro.core.Metrics.PRF
-import repro.detect.{NGramModel, SemanticMatcher}
+import repro.detect.SemanticMatcher
 import repro.logs.{Instability, LogSynth}
-import repro.logs.LogModel.LogLine
-import repro.parse.Drain
-import repro.stream.MoniLogPipeline.NovelId
+import repro.stream.MoniLogPipeline.{Models, RawLog}
 
 /** T3 — robustness to log instability and parsing errors (§III, planned
   * experiment 2), the LogRobust protocol the paper adopts: inject 0–20 %
@@ -16,13 +14,14 @@ import repro.stream.MoniLogPipeline.NovelId
   * duplication, arrival shuffling) into the *test* stream and measure
   * how detection degrades.
   *
-  * Two pipelines share the same trained parser and sequence model:
-  *   - exact    — DeepLog-like: template ids come only from exact
-  *     (frozen-Drain) matches; an unseen variant is an unknown event;
-  *   - semantic — LogRobust/LogAnomaly-like: unmatched messages are
-  *     mapped onto the nearest known template by the semantic matcher,
-  *     and consecutive duplicates are collapsed (MoniLog's own noise
-  *     handling, §I).
+  * Both columns run the deployed dataflow, `MoniLog.train` on the
+  * anomaly-free history then `MoniLog.detectBatch` on each injected test
+  * set, so both collapse duplicate deliveries (MoniLog's own noise
+  * handling, §I). They differ only in the parser's fallback:
+  *   - exact    — DeepLog-like: an empty semantic matcher, so a line the
+  *     frozen Drain cannot match is a novel event;
+  *   - semantic — LogRobust/LogAnomaly-like: the trained matcher maps an
+  *     unmatched message onto the nearest known template.
   *
   * Paper expectation (numbers from LogRobust [9]): the closed-world
   * model collapses as the ratio grows (F1 0.9+ → ~0.5) while the
@@ -38,54 +37,24 @@ object T3Instability {
           seed: Long = 42L): Seq[Row] = {
     import spark.implicits._
     val corpus = LogSynth.hdfsLike(spark, nSessions, anomalyRate, quantShare = 0.0, seed)
-    val all    = corpus.collect().sortBy(_.lineId)
     val cut    = (nSessions * 0.6).toLong * 64 // lineId = sessionId*64 + idx
-    val train  = all.filter(l => l.lineId < cut && l.sessionLabel == "normal")
+    val semantic = MoniLog.train(spark,
+      corpus.filter(l => l.lineId < cut && l.sessionLabel == "normal").toDF())
+    val exact = semantic.copy(matcher = new SemanticMatcher(Map.empty))
     val testDs = corpus.filter(_.lineId >= cut)
 
-    // train the parser online on the anomaly-free history…
-    val drain = new Drain(4, 0.5)
-    val trainAssign = train.map(l => (l, drain.parse(l.message)))
-    val matcher = new SemanticMatcher(drain.templates.view.mapValues(_.toSeq).toMap)
-    // …and the sequence models on the parser's own ids. The semantic
-    // pipeline collapses consecutive duplicates (its dup-noise handling),
-    // so its model is trained on equally collapsed normal sequences.
-    val trainSeqs = trainAssign.groupBy(_._1.sessionId).values
-      .map(_.sortBy(_._1.lineId).map(_._2).toSeq).toSeq
-    val ngramRaw   = new NGramModel(2, 9).fit(trainSeqs)
-    val ngramDedup = new NGramModel(2, 9).fit(trainSeqs.map(dedupConsecutive))
-
     Ratios.map { ratio =>
-      val test = Instability.inject(testDs, ratio, seed = seed + 1).collect()
-      Row(ratio,
-          exact = score(test, ngramRaw, assignExact(drain), collapseDups = false),
-          semantic = score(test, ngramDedup, assignSemantic(drain, matcher),
-                           collapseDups = true))
+      val test  = Instability.inject(testDs, ratio, seed = seed + 1)
+      val raws  = test.select($"ts", $"source", $"sessionId", $"message").as[RawLog]
+      val truth = test.select($"sessionId", $"sessionLabel" =!= "normal").distinct()
+        .as[(String, Boolean)].collect()
+      def score(models: Models): PRF = {
+        val flagged = MoniLog.detectBatch(spark, raws, models).map(_.sessionId).collect().toSet
+        Metrics.score(truth.map { case (sid, anomalous) => (flagged(sid), anomalous) })
+      }
+      Row(ratio, exact = score(exact), semantic = score(semantic))
     }
   }
-
-  private def assignExact(drain: Drain)(msg: String): Int =
-    drain.matchOnly(msg).getOrElse(NovelId)
-
-  private def assignSemantic(drain: Drain, matcher: SemanticMatcher)(msg: String): Int =
-    drain.matchOnly(msg).orElse(matcher.mapMessage(msg)).getOrElse(NovelId)
-
-  private def score(test: Array[LogLine], ngram: NGramModel,
-                    assign: String => Int, collapseDups: Boolean): PRF = {
-    val decisions = test.groupBy(_.sessionId).values.map { lines =>
-      val ordered = lines.sortBy(l => (l.ts.getTime, l.lineId)).map(l => assign(l.message)).toSeq
-      val events  = if (collapseDups) dedupConsecutive(ordered) else ordered
-      val truth   = lines.head.sessionLabel != "normal"
-      (ngram.isAnomalous(events), truth)
-    }
-    Metrics.score(decisions.toSeq)
-  }
-
-  private[tables] def dedupConsecutive(xs: Seq[Int]): Seq[Int] =
-    xs.foldLeft(List.empty[Int]) {
-      case (acc, x) if acc.headOption.contains(x) => acc
-      case (acc, x)                               => x :: acc
-    }.reverse
 
   def render(rows: Seq[Row]): String =
     TableFmt.render(

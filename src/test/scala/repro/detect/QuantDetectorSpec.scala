@@ -1,5 +1,9 @@
 package repro.detect
 
+import java.math.MathContext
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -76,5 +80,47 @@ class QuantDetectorSpec extends AnyFunSuite {
     (1 to 100).foreach(i => q.observe(4, Seq(s"${90 + (i % 20)},")))
     assert(q.score(4, Seq("95,")) < 6.0)
     assert(q.isAnomaly(4, Seq("90000,")))
+  }
+
+  /** |x − mean| / std over `values` in 34-digit decimal arithmetic, with
+    * the population std the detector uses.
+    */
+  private def exactZ(values: Seq[Long], x: Long): Double = {
+    val mc   = MathContext.DECIMAL128
+    val n    = BigDecimal(values.size, mc)
+    val mean = values.map(BigDecimal(_, mc)).sum / n
+    val vari = values.map(v => (BigDecimal(v, mc) - mean).pow(2)).sum / n
+    ((BigDecimal(x, mc) - mean).abs / BigDecimal(vari.bigDecimal.sqrt(mc))).toDouble
+  }
+
+  /** The detector's z for `x` after fitting `values`, and the reference z. */
+  private def zs(values: Seq[Long], x: Long): (Double, Double) = {
+    val q = new QuantDetector().fit(values.iterator.map(v => (1, Seq(v.toString))))
+    (q.score(1, Seq(x.toString)), exactZ(values, x))
+  }
+
+  /** Within 1e-6 of the reference, relative above z = 1. */
+  private def close(got: Double, want: Double): Boolean =
+    math.abs(got - want) <= 1e-6 * math.max(1.0, want)
+
+  test("z-scores agree with a BigDecimal reference, also for values near 1e9") {
+    val near1e9 = (0 until 200).map(i => 1000000000L + i % 10)
+    for (x <- Seq(1000000004L, 1000001000L)) {
+      val (got, want) = zs(near1e9, x)
+      assert(close(got, want), s"z $got, exact $want")
+    }
+    val sample = for {
+      base   <- Gen.oneOf(0L, 1000L, 1000000L, 1000000000L)
+      n      <- Gen.choose(20, 200)
+      spread <- Gen.listOfN(n, Gen.choose(0L, 9L)).suchThat(_.distinct.size > 1)
+      probe  <- Gen.choose(-9L, 1000L)
+    } yield (spread.map(base + _), math.max(0L, base + probe))
+    val prop = Prop.forAllNoShrink(sample) { case (values, x) =>
+      val (got, want) = zs(values, x)
+      Prop(close(got, want)) :| s"z $got, exact $want"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300)
+                              .withInitialSeed(Seed(17L)), prop)
+    assert(result.passed, result.status)
   }
 }

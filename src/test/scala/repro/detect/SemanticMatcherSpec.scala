@@ -2,6 +2,8 @@ package repro.detect
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.parse.Preprocess
+
 class SemanticMatcherSpec extends AnyFunSuite {
 
   private val templates = Map(
@@ -43,8 +45,8 @@ class SemanticMatcherSpec extends AnyFunSuite {
     assert(strict.mapTemplate(Seq("a", "<*>", "<*>", "b")).contains(1))
   }
 
-  test("mapMessage tokenizes then maps") {
-    assert(m.mapMessage("Volume vol-7 attached successfully in 912 ms").contains(3))
+  test("a tokenized raw message maps") {
+    assert(m.mapTemplate(Preprocess.tokenize("Volume vol-7 attached successfully in 912 ms")).contains(3))
   }
 
   test("all-variable candidate maps to none") {

@@ -78,6 +78,12 @@ class MoniLogPipelineSpec extends SparkSpec {
     assert(rows.head.events.map(_.templateId) == Seq(0, 1))
   }
 
+  test("collapse drops an event equal to the previous kept one and keeps repeats with new values") {
+    val repeats = Seq(EventRec(ts(1), 1, Seq("41")), EventRec(ts(2), 1, Seq("42")),
+                      EventRec(ts(3), 1, Seq("42")), EventRec(ts(4), 1, Seq("41")))
+    assert(collapse(repeats) == Seq(repeats(0), repeats(1), repeats(3)))
+  }
+
   test("detectOne passes a normal sequence") {
     val row = SeqRow(ts(0), "jobs", "s1", Seq(
       EventRec(ts(1), 0, Seq("n1")), EventRec(ts(2), 1, Seq("42"))))
@@ -144,6 +150,17 @@ class MoniLogPipelineSpec extends SparkSpec {
     assert(out.map(_.sessionId).toSeq == Seq("bad"))
   }
 
+  /** A normal session whose first line is delivered twice, 1 ms apart. */
+  private val duplicated = Seq(
+    raw(1, "dup", "task started on node n7"),
+    RawLog(new Timestamp(ts(1).getTime + 1), "jobs", "dup", "task started on node n7"),
+    raw(2, "dup", "task finished after 43 ms"),
+  )
+
+  test("batch pipeline does not report a normal session with a duplicated delivery") {
+    assert(MoniLog.detectBatch(spark, duplicated.toDS(), models).collect().isEmpty)
+  }
+
   /** Reports of the streaming pipeline over `rows`, once a later flush row
     * has moved the watermark past their sessions; the query must still run.
     */
@@ -182,5 +199,9 @@ class MoniLogPipelineSpec extends SparkSpec {
       raw(3, "poison", null),
     )
     assert(out.map(r => (r.sessionId, r.kind, r.events)) == Seq(("poison", "sequential", Seq(NovelId))))
+  }
+
+  test("streaming pipeline does not report a normal session with a duplicated delivery") {
+    assert(streamed("monilog_duplicate", duplicated: _*).isEmpty)
   }
 }

@@ -1,6 +1,11 @@
 package repro.tables
 
+import java.sql.Timestamp
+
 import repro.SparkSpec
+import repro.logs.LogSynth
+import repro.stream.MoniLogPipeline
+import repro.stream.MoniLogPipeline.EventRec
 
 /** Shape tests for every reproduced table at small scale: the claims the
   * paper (or its cited reference) makes must already hold qualitatively
@@ -48,8 +53,19 @@ class TablesSpec extends SparkSpec {
   }
 
   test("T3: dedupConsecutive") {
-    assert(T3Instability.dedupConsecutive(Seq(1, 1, 2, 2, 2, 3, 1)) == Seq(1, 2, 3, 1))
-    assert(T3Instability.dedupConsecutive(Nil) == Nil)
+    // T3's duplicated deliveries are collapsed by the pipeline's own step
+    def evs(tids: Int*) = tids.map(t => EventRec(new Timestamp(0L), t, Nil))
+    assert(MoniLogPipeline.collapse(evs(1, 1, 2, 2, 2, 3, 1)).map(_.templateId) == Seq(1, 2, 3, 1))
+    assert(MoniLogPipeline.collapse(Nil).isEmpty)
+  }
+
+  test("ParserHarness.runDistributed leaves no cached data behind") {
+    val messages = LogSynth.hdfsLike(spark, 100).toDF().select("lineId", "message")
+    def cached = spark.sparkContext.getPersistentRDDs.size
+    val before = cached
+    val outcome = ParserHarness.runDistributed(spark, messages)
+    assert(outcome.assignments.nonEmpty)
+    assert(cached == before)
   }
 
   test("T4a: Drain parses every corpus near-perfectly and beats Spell on the mix") {
