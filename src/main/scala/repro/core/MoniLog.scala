@@ -22,6 +22,7 @@ import repro.stream.MoniLogPipeline.{Models, RawLog}
   */
 object MoniLog {
 
+  /** The deployed hyper-parameters: every [[train]] uses these values. */
   final case class TrainConfig(
       depth: Int = 4,
       simThreshold: Double = 0.5,
@@ -36,9 +37,9 @@ object MoniLog {
     *                `message` (ground-truth columns, if present, are
     *                ignored — training is unsupervised)
     */
-  def train(spark: SparkSession, history: DataFrame,
-            cfg: TrainConfig = TrainConfig()): Models = {
+  def train(spark: SparkSession, history: DataFrame): Models = {
     import spark.implicits._
+    val cfg = TrainConfig()
 
     // 1. mine templates distributively, over payload-stripped messages
     val core = history.select(

@@ -9,10 +9,12 @@ package repro.detect
   * a "close", every file has 3 replica events). A session is anomalous
   * iff it violates a mined invariant (or contains an unknown event).
   */
-class InvariantMiner(
-    val maxCoefficient: Int = 5,
-    val support: Double = 0.98,
-) extends Serializable {
+class InvariantMiner extends Serializable {
+
+  /** Largest p or q an invariant p·x_i = q·x_j may use. */
+  private val MaxCoefficient = 5
+  /** Share of training vectors an invariant must hold on. */
+  private val Support = 0.98
 
   /** Mined invariant p·x(i) == q·x(j) over dense indices (i, j). */
   final case class Invariant(i: Int, j: Int, p: Int, q: Int)
@@ -25,7 +27,7 @@ class InvariantMiner(
   def fit(train: Array[Array[Double]]): this.type = {
     require(train.nonEmpty, "IM needs training vectors")
     dim = train.head.length
-    val minSupport = support * train.length
+    val minSupport = Support * train.length
     val found = Seq.newBuilder[Invariant]
     for (i <- 0 until dim; j <- i + 1 until dim) {
       // only skip pairs that never occur at all; the support test below
@@ -35,8 +37,8 @@ class InvariantMiner(
       val both = train.count(r => r(i) > 0 || r(j) > 0)
       if (both > 0) {
         val candidates = for {
-          p <- 1 to maxCoefficient
-          q <- 1 to maxCoefficient
+          p <- 1 to MaxCoefficient
+          q <- 1 to MaxCoefficient
           if gcd(p, q) == 1
         } yield (p, q)
         candidates.find { case (p, q) =>

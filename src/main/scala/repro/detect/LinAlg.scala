@@ -40,13 +40,18 @@ object LinAlg {
     cov
   }
 
+  /** Jacobi stops after this many sweeps, or once the squared
+    * off-diagonal mass falls to [[OffDiagTol]].
+    */
+  private val MaxSweeps  = 64
+  private val OffDiagTol = 1e-12
+
   /** Eigen-decomposition of a symmetric matrix by cyclic Jacobi.
     *
     * @return (eigenvalues, eigenvectors as columns), sorted by
     *         descending eigenvalue
     */
-  def symmetricEigen(a0: Array[Array[Double]], maxSweeps: Int = 64,
-                     tol: Double = 1e-12): (Array[Double], Array[Array[Double]]) = {
+  def symmetricEigen(a0: Array[Array[Double]]): (Array[Double], Array[Array[Double]]) = {
     val d = a0.length
     val a = Array.tabulate(d, d)((i, j) => a0(i)(j))
     val v = Array.tabulate(d, d)((i, j) => if (i == j) 1.0 else 0.0)
@@ -58,7 +63,7 @@ object LinAlg {
     }
 
     var sweep = 0
-    while (sweep < maxSweeps && offDiag > tol) {
+    while (sweep < MaxSweeps && offDiag > OffDiagTol) {
       for (p <- 0 until d; q <- p + 1 until d if math.abs(a(p)(q)) > 1e-300) {
         val theta = (a(q)(q) - a(p)(p)) / (2.0 * a(p)(q))
         val t =

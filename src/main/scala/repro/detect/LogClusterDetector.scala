@@ -10,10 +10,12 @@ import scala.collection.mutable
   * session is anomalous iff its distance to every representative exceeds
   * the threshold — i.e. it matches no known normal behaviour.
   */
-class LogClusterDetector(
-    val clusterThreshold: Double = 0.10,
-    val detectThreshold: Double = 0.15,
-) extends Serializable {
+class LogClusterDetector extends Serializable {
+
+  /** Cosine distance within which a training vector joins a cluster. */
+  private val ClusterThreshold = 0.10
+  /** Cosine distance beyond every cluster that makes a session anomalous. */
+  private val DetectThreshold = 0.15
 
   private final class Cluster(var centroid: Array[Double], var n: Long)
 
@@ -29,7 +31,7 @@ class LogClusterDetector(
     train.foreach { raw =>
       val x = weight(raw)
       nearest(x) match {
-        case Some((c, d)) if d <= clusterThreshold =>
+        case Some((c, d)) if d <= ClusterThreshold =>
           // running mean keeps the representative central
           var i = 0
           while (i < x.length) {
@@ -58,5 +60,5 @@ class LogClusterDetector(
   def score(x: Array[Double]): Double =
     nearest(weight(x)).map(_._2).getOrElse(Double.MaxValue)
 
-  def isAnomaly(x: Array[Double]): Boolean = score(x) > detectThreshold
+  def isAnomaly(x: Array[Double]): Boolean = score(x) > DetectThreshold
 }

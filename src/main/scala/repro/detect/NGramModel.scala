@@ -30,11 +30,12 @@ class NGramModel(val h: Int = 2, val topG: Int = 9,
 
   private val counts = mutable.Map.empty[List[Int], mutable.Map[Int, Long]]
   private val vocab  = mutable.Set.empty[Int]
+  /** Each context's top-g set, as of the last [[fit]]. */
+  private var top    = Map.empty[List[Int], Set[Int]]
 
   def vocabulary: Set[Int] = vocab.toSet
 
   def fit(sequences: IterableOnce[Seq[Int]]): this.type = {
-    top = null
     sequences.iterator.foreach { seq =>
       vocab ++= seq
       val padded = List.fill(h)(Start) ++ seq ++ (if (seq.nonEmpty) List(End) else Nil)
@@ -50,23 +51,10 @@ class NGramModel(val h: Int = 2, val topG: Int = 9,
         case _ => ()
       }
     }
+    top = counts.iterator.map { case (ctx, m) =>
+      ctx -> m.toSeq.sortBy { case (ev, c) => (-c, ev) }.take(topG).map(_._1).toSet
+    }.toMap
     this
-  }
-
-  /** Each context's top-g set, computed once after the last [[fit]].
-    * Transient: a broadcast carries only the counts.
-    */
-  @volatile @transient private var top: Map[List[Int], Set[Int]] = null
-
-  private def topSets: Map[List[Int], Set[Int]] = {
-    var t = top
-    if (t eq null) {
-      t = counts.iterator.map { case (ctx, m) =>
-        ctx -> m.toSeq.sortBy { case (ev, c) => (-c, ev) }.take(topG).map(_._1).toSet
-      }.toMap
-      top = t
-    }
-    t
   }
 
   /** Top-g next-event candidates for a history, longest known context
@@ -74,17 +62,17 @@ class NGramModel(val h: Int = 2, val topG: Int = 9,
     */
   def predict(history: Seq[Int]): Option[Set[Int]] = {
     val a = history.toArray
-    Option(predictAt(topSets, a, a.length))
+    Option(predictAt(a, a.length))
   }
 
   /** [[predict]] of `seq.take(end)`; null when no context is known. */
-  private def predictAt(sets: Map[List[Int], Set[Int]], seq: Array[Int], end: Int): Set[Int] = {
+  private def predictAt(seq: Array[Int], end: Int): Set[Int] = {
     // the last h events before `end`, Start-padded; each tail is the next shorter context
     var ctx: List[Int] = Nil
     var j = end - 1
     while (j >= end - h) { ctx = (if (j >= 0) seq(j) else Start) :: ctx; j -= 1 }
     while (ctx.nonEmpty) {
-      val s = sets.getOrElse(ctx, null)
+      val s = top.getOrElse(ctx, null)
       if (s ne null) return s
       ctx = ctx.tail
     }
@@ -98,10 +86,9 @@ class NGramModel(val h: Int = 2, val topG: Int = 9,
     * catches premature-termination anomalies.
     */
   def anomalousEvents(seq: Seq[Int]): Seq[Int] = {
-    val sets = topSets
-    val a    = seq.toArray
+    val a = seq.toArray
     def outside(end: Int, ev: Int): Boolean = {
-      val cands = predictAt(sets, a, end)
+      val cands = predictAt(a, end)
       cands == null || !cands.contains(ev) // null: context never seen in normal data
     }
     val events = a.indices.filter(i => !vocab.contains(a(i)) || outside(i, a(i)))

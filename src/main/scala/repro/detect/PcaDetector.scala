@@ -10,11 +10,13 @@ package repro.detect
   * quantile of the training SPE distribution times a margin, standing in
   * for the Q-statistic.
   */
-class PcaDetector(
-    val varianceFraction: Double = 0.95,
-    val thresholdQuantile: Double = 0.995,
-    val thresholdMargin: Double = 1.5,
-) extends Serializable {
+class PcaDetector extends Serializable {
+
+  /** Share of the training variance the principal subspace keeps. */
+  private val VarianceFraction = 0.95
+  /** Training-SPE quantile, times the margin, that sets the threshold. */
+  private val ThresholdQuantile = 0.995
+  private val ThresholdMargin   = 1.5
 
   private var means: Array[Double]            = _
   private var residual: Array[Array[Double]]  = _ // residual-subspace eigenvectors, columns
@@ -28,14 +30,14 @@ class PcaDetector(
     val (evals, evecs) = LinAlg.symmetricEigen(LinAlg.covariance(train, means))
     val total = math.max(evals.map(math.max(_, 0.0)).sum, 1e-12)
     var k = 0; var acc = 0.0
-    while (k < evals.length && acc / total < varianceFraction) {
+    while (k < evals.length && acc / total < VarianceFraction) {
       acc += math.max(evals(k), 0.0); k += 1
     }
     // residual space = components k..d-1
     residual = Array.tabulate(dim, dim - k)((i, j) => evecs(i)(k + j))
     val spes = train.map(spe).sorted
-    val idx  = math.min(spes.length - 1, (thresholdQuantile * spes.length).toInt)
-    threshold = math.max(spes(idx) * thresholdMargin, 1e-9)
+    val idx  = math.min(spes.length - 1, (ThresholdQuantile * spes.length).toInt)
+    threshold = math.max(spes(idx) * ThresholdMargin, 1e-9)
     this
   }
 

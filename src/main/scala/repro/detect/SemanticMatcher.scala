@@ -8,16 +8,16 @@ import repro.parse.Preprocess
   * (variant) template near its origin template in a semantic vector
   * space. This class reproduces that mechanism with normalized lexical
   * overlap: an unseen template is mapped onto the known template whose
-  * static tokens it covers best when that coverage clears `tau`,
+  * static tokens it covers best when it covers at least half of them,
   * otherwise it is reported as genuinely novel. `MoniLogPipeline.parseOne`
   * falls back to it when the frozen Drain finds no match; T3's exact
   * column, an empty matcher, reproduces DeepLog's collapse under
   * instability.
   */
-class SemanticMatcher(
-    knownTemplates: Map[Int, Seq[String]],
-    val tau: Double = 0.5,
-) extends Serializable {
+class SemanticMatcher(knownTemplates: Map[Int, Seq[String]]) extends Serializable {
+
+  /** Least coverage of a known template's static tokens that maps onto it. */
+  private val Tau = 0.5
 
   /** Normalize a token for comparison: case-fold, strip punctuation and
     * version-y suffixes — the lexical stand-in for embedding proximity
@@ -33,7 +33,7 @@ class SemanticMatcher(
     knownTemplates.toSeq.sortBy(_._1).map { case (id, toks) => id -> keyTokens(toks) }
 
   /** Map an unseen template's tokens onto the closest known template id,
-    * when the match clears tau.
+    * when the match clears [[Tau]].
     *
     * Scoring is the *coverage of the known template's static tokens* by
     * the candidate (after masking variable-looking candidate tokens): a
@@ -59,6 +59,6 @@ class SemanticMatcher(
         }
       }
     }
-    if (bestKey._1 >= tau) Some(bestId) else None
+    if (bestKey._1 >= Tau) Some(bestId) else None
   }
 }

@@ -40,6 +40,11 @@ object LogSynth {
   private val SessionStartGapMs = 120L
   private val LineGapMeanMs     = 60L
 
+  /** Line i of session s has lineId `s * LineIdStride + i`, so ids follow
+    * session order.
+    */
+  val LineIdStride = 64L
+
   /** Generate the corpus as a Dataset of fully labeled lines. */
   def generate(spark: SparkSession, cfg: SynthConfig): Dataset[LogLine] = {
     import spark.implicits._
@@ -141,7 +146,7 @@ object LogSynth {
            s"${td.templateString} ${payloadTemplate(td.payloadKeys)}")
         }
       LogLine(
-        lineId = sessionId * 64 + i,
+        lineId = sessionId * LineIdStride + i,
         ts = new Timestamp(ts),
         source = source,
         sessionId = s"$source-$sessionId",

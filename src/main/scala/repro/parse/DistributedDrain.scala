@@ -54,13 +54,10 @@ object DistributedDrain {
       input.mapPartitions { it =>
         val pid   = org.apache.spark.TaskContext.getPartitionId()
         val drain = new Drain(depth, simThreshold)
-        val assigned = it.map { case (lineId, msg) =>
-          (lineId, pid, drain.parse(msg), Seq.empty[String])
-        }.toVector // materialize so the template table below is complete
-        val tmpl = drain.templates.toSeq.map { case (lid, toks) =>
-          (-1L, pid, lid, toks: Seq[String])
-        }
-        (assigned ++ tmpl).iterator
+        // Iterator.++ takes its operand by name: the template rows are
+        // built once every line row has gone through the partition's Drain
+        it.map { case (lineId, msg) => (lineId, pid, drain.parse(msg), Seq.empty[String]) } ++
+          drain.templates.iterator.map { case (lid, toks) => (-1L, pid, lid, toks: Seq[String]) }
       }.persist()
 
     // Phase 2: merge local templates on the driver.

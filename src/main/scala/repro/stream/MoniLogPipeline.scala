@@ -94,17 +94,12 @@ object MoniLogPipeline {
     if (raw.message == null) return novel(raw)
     val (core, _) = Preprocess.extractStructured(raw.message)
     val tokens    = Preprocess.tokenize(core)
-    models.parser.matchTokens(tokens) match {
+    val exact     = models.parser.matchTokens(tokens)
+    exact.orElse(models.matcher.mapTemplate(tokens)) match {
       case Some(id) =>
-        val vars = TemplateOps.extractVars(models.templates(id), tokens)
-        ParsedEvent(raw.ts, raw.source, raw.sessionId, id, matchedExact = true, vars)
-      case None =>
-        models.matcher.mapTemplate(tokens) match {
-          case Some(id) =>
-            val vars = TemplateOps.extractVars(models.templates(id), tokens)
-            ParsedEvent(raw.ts, raw.source, raw.sessionId, id, matchedExact = false, vars)
-          case None => novel(raw)
-        }
+        ParsedEvent(raw.ts, raw.source, raw.sessionId, id, matchedExact = exact.isDefined,
+                    TemplateOps.extractVars(models.templates(id), tokens))
+      case None => novel(raw)
     }
   }
 

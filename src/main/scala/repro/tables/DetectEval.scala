@@ -7,6 +7,7 @@ import repro.core.Metrics.PRF
 import repro.detect._
 import repro.detect.EventVectorizer.SessionSeq
 import repro.logs.LogModel.LogLine
+import repro.logs.LogSynth
 
 /** Shared harness for the detector experiments (T1–T3): chronological
   * train/test split, counter-based and sequence-based detectors fitted
@@ -17,6 +18,12 @@ object DetectEval {
 
   /** Share of the groups, earliest first, that [[split]] trains on. */
   private val TrainFrac = 0.6
+
+  /** First line id past the [[TrainFrac]] share of `nSessions` sessions,
+    * which a split by line id tests from.
+    */
+  def firstTestLineId(nSessions: Long): Long =
+    (nSessions * TrainFrac).toLong * LogSynth.LineIdStride
 
   /** Anomaly-free training sequences + labeled test sequences. */
   final case class Split(trainSeqs: Seq[Seq[Int]], test: Seq[SessionSeq])

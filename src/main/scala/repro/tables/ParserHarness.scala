@@ -34,10 +34,11 @@ object ParserHarness {
     runOnline(messages, s.parse, () => s.templates)
   }
 
-  /** Distributed run; assignments are collected for uniform scoring. */
-  def runDistributed(spark: SparkSession, messages: DataFrame, depth: Int = 4,
-                     st: Double = 0.5, partitions: Int = 8): Outcome = {
-    val res = DistributedDrain.parse(messages, depth, st, partitions)
+  /** Distributed run, as T4a's "DistDrain(4,0.5,p8)"; assignments are
+    * collected for uniform scoring.
+    */
+  def runDistributed(spark: SparkSession, messages: DataFrame): Outcome = {
+    val res = DistributedDrain.parse(messages, depth = 4, simThreshold = 0.5, numPartitions = 8)
     val assign = res.assignments.collect().map(r => (r.getLong(0), r.getInt(1))).toSeq
     res.assignments.unpersist()
     Outcome(assign, res.templates)

@@ -18,9 +18,8 @@ object T1DetectorComparison {
 
   final case class Row(detector: String, prf: PRF)
 
-  def run(spark: SparkSession, nSessions: Long = 4000, anomalyRate: Double = 0.03,
-          seed: Long = 42L): Seq[Row] = {
-    val corpus = LogSynth.hdfsLike(spark, nSessions, anomalyRate, quantShare = 0.0, seed)
+  def run(spark: SparkSession, nSessions: Long = 4000, seed: Long = 42L): Seq[Row] = {
+    val corpus = LogSynth.hdfsLike(spark, nSessions, anomalyRate = 0.03, quantShare = 0.0, seed)
     val split  = DetectEval.split(DetectEval.sessionSeqs(corpus))
     val rows   = DetectEval.counterPrfs(split).toSeq.map { case (n, p) => Row(n, p) }
     (rows :+ Row("SequenceModel(DeepLog-like)", DetectEval.ngramPrf(split)))

@@ -30,13 +30,12 @@ object T2MultiSource {
   /** Tumbling-window length of the two window regimes. */
   private val WindowDur = "2 seconds"
 
-  def run(spark: SparkSession, nSessions: Long = 4000, anomalyRate: Double = 0.01,
-          seed: Long = 42L): Seq[Row] = {
+  def run(spark: SparkSession, nSessions: Long = 4000, seed: Long = 42L): Seq[Row] = {
     // purely sequential anomalies: this experiment is about flow mixing,
     // and quantitative anomalies are invisible to every detector here
     val corpus = LogSynth.generate(spark, LogSynth.SynthConfig(
       Seq("network", "storage", "compute", "auth"), nSessions,
-      anomalyRate = anomalyRate, quantShare = 0.0, payloadProb = 0.0, seed = seed))
+      anomalyRate = 0.01, quantShare = 0.0, payloadProb = 0.0, seed = seed))
       .toDF().persist()
     val groupings: Seq[(String, Seq[EventVectorizer.SessionSeq])] = Seq(
       "session"      -> EventVectorizer.bySession(corpus).collect().toSeq,

@@ -33,11 +33,10 @@ object T3Instability {
 
   val Ratios: Seq[Double] = Seq(0.0, 0.05, 0.10, 0.15, 0.20)
 
-  def run(spark: SparkSession, nSessions: Long = 4000, anomalyRate: Double = 0.03,
-          seed: Long = 42L): Seq[Row] = {
+  def run(spark: SparkSession, nSessions: Long = 4000, seed: Long = 42L): Seq[Row] = {
     import spark.implicits._
-    val corpus = LogSynth.hdfsLike(spark, nSessions, anomalyRate, quantShare = 0.0, seed)
-    val cut    = (nSessions * 0.6).toLong * 64 // lineId = sessionId*64 + idx
+    val corpus = LogSynth.hdfsLike(spark, nSessions, anomalyRate = 0.03, quantShare = 0.0, seed)
+    val cut    = DetectEval.firstTestLineId(nSessions)
     val semantic = MoniLog.train(spark,
       corpus.filter(l => l.lineId < cut && l.sessionLabel == "normal").toDF())
     val exact = semantic.copy(matcher = new SemanticMatcher(Map.empty))

@@ -21,10 +21,9 @@ object T5PreExtraction {
   final case class Row(condition: String, scores: ParserHarness.Scores, trueTemplates: Int)
   final case class Result(payloadTokenShare: Double, rows: Seq[Row])
 
-  def run(spark: SparkSession, nSessions: Long = 800, payloadProb: Double = 0.7,
-          seed: Long = 42L): Result = {
+  def run(spark: SparkSession, nSessions: Long = 800, seed: Long = 42L): Result = {
     import spark.implicits._
-    val corpus = LogSynth.cloud(spark, nSessions, anomalyRate = 0.02, seed, payloadProb)
+    val corpus = LogSynth.cloud(spark, nSessions, anomalyRate = 0.02, seed, payloadProb = 0.7)
       .toDF().persist()
 
     // measured share of tokens contributed by the structured payload

@@ -27,11 +27,10 @@ object T6QuantDetection {
 
   final case class Row(condition: String, tokenAccuracy: Double, prf: PRF)
 
-  def run(spark: SparkSession, nSessions: Long = 4000, anomalyRate: Double = 0.05,
-          seed: Long = 42L): Seq[Row] = {
-    val corpus = LogSynth.hdfsLike(spark, nSessions, anomalyRate, quantShare = 1.0, seed)
+  def run(spark: SparkSession, nSessions: Long = 4000, seed: Long = 42L): Seq[Row] = {
+    val corpus = LogSynth.hdfsLike(spark, nSessions, anomalyRate = 0.05, quantShare = 1.0, seed)
     val all    = corpus.collect().sortBy(_.lineId)
-    val cut    = (nSessions * 0.6).toLong * 64
+    val cut    = DetectEval.firstTestLineId(nSessions)
     val isTrain = (l: LogLine) => l.lineId < cut
 
     // oracle condition: ground-truth templates and variables

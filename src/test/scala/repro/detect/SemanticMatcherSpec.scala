@@ -33,16 +33,23 @@ class SemanticMatcherSpec extends AnyFunSuite {
     assert(m.mapTemplate(Seq("Completely", "unrelated", "words", "here")).isEmpty)
   }
 
-  test("tau=1 demands full static-token overlap") {
-    val strict = new SemanticMatcher(templates, tau = 1.0)
-    assert(strict.mapTemplate(Seq("Sending", "9", "bytes", "src:", "x", "dest:", "y")).contains(1))
-    assert(strict.mapTemplate(Seq("Transmitting", "9", "bytes", "src:", "x", "dest:", "y")).isEmpty)
+  test("a coverage of exactly one half maps, a lower coverage does not") {
+    // 100 static tokens: 50 covered is exactly one half, 49 is just below
+    val words = for (a <- 'a' to 'j'; b <- 'a' to 'j') yield s"$a$b"
+    val wide  = new SemanticMatcher(Map(1 -> words))
+    assert(wide.mapTemplate(words.take(50) :+ "other").contains(1))
+    assert(wide.mapTemplate(words.take(49) :+ "other").isEmpty)
   }
 
   test("wildcards are ignored in comparison") {
-    val strict = new SemanticMatcher(Map(1 -> Seq("a", "<*>", "b")), tau = 1.0)
-    assert(strict.mapTemplate(Seq("a", "b")).contains(1))
-    assert(strict.mapTemplate(Seq("a", "<*>", "<*>", "b")).contains(1))
+    // the template's key set is {open, file}: one of two is half, which
+    // maps; were the wildcard a key, one of three would not
+    val m1 = new SemanticMatcher(Map(1 -> Seq("open", "<*>", "file")))
+    assert(m1.mapTemplate(Seq("open", "socket")).contains(1))
+    assert(m1.mapTemplate(Seq("open", "file")).contains(1))
+    assert(m1.mapTemplate(Seq("open", "<*>", "<*>", "file")).contains(1))
+    // candidate wildcards are no tokens either: <*> covers nothing
+    assert(m1.mapTemplate(Seq("<*>", "socket")).isEmpty)
   }
 
   test("a tokenized raw message maps") {
@@ -58,7 +65,10 @@ class SemanticMatcherSpec extends AnyFunSuite {
       10 -> Seq("job", "start", "on", "node"),
       11 -> Seq("job", "start", "on", "host", "with", "retry"),
     )
-    val mm = new SemanticMatcher(tight, tau = 0.3)
+    val mm = new SemanticMatcher(tight)
+    // both clear one half (4/4 and 3/6): the better-covered one wins
     assert(mm.mapTemplate(Seq("job", "start", "on", "node")).contains(10))
+    // 3/4 against 5/6
+    assert(mm.mapTemplate(Seq("job", "start", "on", "host", "with")).contains(11))
   }
 }

@@ -2,6 +2,8 @@ package repro.tables
 
 import java.sql.Timestamp
 
+import scala.io.{Codec, Source}
+
 import repro.SparkSpec
 import repro.logs.LogSynth
 import repro.stream.MoniLogPipeline
@@ -12,6 +14,15 @@ import repro.stream.MoniLogPipeline.EventRec
   * at test size. The benches rerun them at full scale.
   */
 class TablesSpec extends SparkSpec {
+
+  /** T1–T7 are seed-deterministic: each render below must equal the one
+    * recorded under `tables/` until a change says why it moves.
+    */
+  private def assertGolden(name: String, rendered: String): Unit = {
+    val src = Source.fromResource(s"tables/$name.txt", getClass.getClassLoader)(Codec.UTF8)
+    val golden = try src.mkString finally src.close()
+    assert(rendered == golden, s"$name moved from its golden:\n$rendered")
+  }
 
   test("TableFmt renders aligned rows") {
     val s = TableFmt.render("t", Seq("a", "bb"), Seq(Seq("1", "2"), Seq("33", "4")))
@@ -27,7 +38,7 @@ class TablesSpec extends SparkSpec {
     Seq("PCA", "InvariantMining", "LogClustering").foreach { base =>
       assert(seqF1 >= byName(base).f1, s"$base ${byName(base)} vs seq $seqF1")
     }
-    assert(T1DetectorComparison.render(rows).nonEmpty)
+    assertGolden("T1", T1DetectorComparison.render(rows))
   }
 
   test("T2: the sequence model collapses on the mixed stream, counters degrade less") {
@@ -38,7 +49,7 @@ class TablesSpec extends SparkSpec {
     val seqMixed   = f1("SequenceModel(DeepLog-like)", "window mixed")
     assert(seqSession > 0.85, s"session F1 $seqSession")
     assert(seqMixed < seqSession - 0.25, s"mixed $seqMixed vs session $seqSession")
-    assert(T2MultiSource.render(rows).nonEmpty)
+    assertGolden("T2", T2MultiSource.render(rows))
   }
 
   test("T3: exact pipeline collapses with instability, semantic stays robust") {
@@ -49,7 +60,7 @@ class TablesSpec extends SparkSpec {
     assert(r20.exact.f1 < r0.exact.f1 - 0.2, s"exact ${r0.exact.f1} -> ${r20.exact.f1}")
     assert(r20.semantic.f1 > r20.exact.f1 + 0.15,
            s"semantic ${r20.semantic.f1} vs exact ${r20.exact.f1}")
-    assert(T3Instability.render(rows).nonEmpty)
+    assertGolden("T3", T3Instability.render(rows))
   }
 
   test("T3: dedupConsecutive") {
@@ -76,7 +87,7 @@ class TablesSpec extends SparkSpec {
     def acc(p: String) = rows.find(r => r.corpus == "mixed" && r.parser.startsWith(p)).get
       .scores.groupingAccuracy
     assert(acc("Drain") >= acc("Spell"))
-    assert(T4ParserBenchTable.renderA(rows).nonEmpty)
+    assertGolden("T4a", T4ParserBenchTable.renderA(rows))
   }
 
   test("T4a: distributed Drain stays close to single-node Drain") {
@@ -87,13 +98,14 @@ class TablesSpec extends SparkSpec {
       assert(d.scores.groupingAccuracy >= s.scores.groupingAccuracy - 0.05,
              s"${d.corpus}: dist ${d.scores} vs single ${s.scores}")
     }
+    assertGolden("T4a-seed5", T4ParserBenchTable.renderA(rows))
   }
 
   test("T4b: hyper-parameters move Drain's accuracy materially") {
     val rows = T4ParserBenchTable.runB(spark, nSessions = 150, seed = 6L)
     val accs = rows.map(_.groupingAccuracy)
     assert(accs.max - accs.min > 0.05, s"spread ${accs.max - accs.min}")
-    assert(T4ParserBenchTable.renderB(rows).nonEmpty)
+    assertGolden("T4b", T4ParserBenchTable.renderB(rows))
   }
 
   test("T5: pre-extraction improves both metrics and collapses template count") {
@@ -105,7 +117,7 @@ class TablesSpec extends SparkSpec {
     // payload values are wildcarded either way, so Eq.1 must not regress
     assert(core.scores.tokenAccuracy >= raw.scores.tokenAccuracy - 0.01)
     assert(core.scores.numTemplates < raw.scores.numTemplates)
-    assert(T5PreExtraction.render(res).nonEmpty)
+    assertGolden("T5", T5PreExtraction.render(res))
   }
 
   test("T6: quantitative detection requires identified variable parts") {
@@ -118,7 +130,7 @@ class TablesSpec extends SparkSpec {
     assert(drain.tokenAccuracy > spell.tokenAccuracy)
     assert(noVars.prf.f1 < 0.2, noVars.toString)
     assert(noVars.tokenAccuracy < drain.tokenAccuracy)
-    assert(T6QuantDetection.render(rows).nonEmpty)
+    assertGolden("T6", T6QuantDetection.render(rows))
   }
 
   test("T7: accuracy grows with feedback volume") {
@@ -128,7 +140,7 @@ class TablesSpec extends SparkSpec {
     assert(at200.poolAccuracy > at0.poolAccuracy)
     assert(at200.poolAccuracy > 0.9, at200.toString)
     assert(at200.critAccuracy > 0.9, at200.toString)
-    assert(T7Classifier.render(rows).nonEmpty)
+    assertGolden("T7", T7Classifier.render(rows))
   }
 
   test("T8: smoke run produces positive throughput rows") {
