@@ -1,5 +1,8 @@
 package repro.jobs
 
+import java.io.{FileDescriptor, FileOutputStream, PrintStream}
+import java.nio.charset.StandardCharsets
+
 import scala.collection.immutable.ListMap
 
 import org.apache.spark.sql.SparkSession
@@ -56,7 +59,9 @@ object Table {
         s"usage: repro.jobs.Table <${tables.keys.mkString("|")}> [nSessions]; " +
           s"got ${args.headOption.getOrElse("no table name")}"))
     val spark = Jobs.session(s"monilog-${args(0)}")
-    println(render(spark, Jobs.arg(args, 1, default)))
+    // UTF-8 whatever the locale: titles carry an em dash
+    val out = new PrintStream(new FileOutputStream(FileDescriptor.out), true, StandardCharsets.UTF_8)
+    out.println(render(spark, Jobs.arg(args, 1, default)))
     spark.stop()
   }
 }

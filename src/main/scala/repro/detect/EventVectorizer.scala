@@ -1,6 +1,6 @@
 package repro.detect
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.{Column, DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 
 /** Sequence structuring: turns a parsed log stream into the grouped
@@ -26,25 +26,8 @@ object EventVectorizer {
     * @param lines columns `sessionId`, `ts`, `lineId`, `templateId`,
     *              `sessionLabel`
     */
-  def bySession(lines: DataFrame): Dataset[SessionSeq] = {
-    val spark = lines.sparkSession
-    import spark.implicits._
-    lines
-      .groupBy(col("sessionId"))
-      .agg(
-        sort_array(collect_list(struct(col("ts"), col("lineId"), col("templateId")))) as "evs",
-        min(col("ts")) as "start",
-        max(when(col("sessionLabel") =!= "normal", col("sessionLabel"))
-          .otherwise(lit("normal"))) as "label",
-      )
-      .select(
-        col("sessionId") as "key",
-        col("start"),
-        expr("transform(evs, e -> e.templateId)") as "events",
-        col("label"),
-      )
-      .as[SessionSeq]
-  }
+  def bySession(lines: DataFrame): Dataset[SessionSeq] =
+    group(lines, Seq(col("sessionId")), col("sessionId"), col("firstTs"))
 
   /** Group parsed lines per (tumbling time window × optional source),
     * the mixed-stream structuring of experiment T2.
@@ -54,21 +37,33 @@ object EventVectorizer {
     *                  every source's events together
     */
   def byWindow(lines: DataFrame, windowDur: String, perSource: Boolean): Dataset[SessionSeq] = {
+    val win = window(col("ts"), windowDur)
+    group(lines, if (perSource) Seq(win, col("source")) else Seq(win),
+          concat_ws("/", col("window.start").cast("string"),
+                    if (perSource) col("source") else lit("all")),
+          col("window.start"))
+  }
+
+  /** One sequence per group of `keyCols`, events ordered by (ts, lineId),
+    * labelled "normal" unless a line carries another session label. `key`
+    * and `start` are projected over the grouped row, whose `firstTs` is
+    * the group's earliest event time.
+    */
+  private def group(lines: DataFrame, keyCols: Seq[Column], key: Column,
+                    start: Column): Dataset[SessionSeq] = {
     val spark = lines.sparkSession
     import spark.implicits._
-    val keyCols = if (perSource) Seq(window(col("ts"), windowDur), col("source"))
-                  else Seq(window(col("ts"), windowDur))
     lines
       .groupBy(keyCols: _*)
       .agg(
         sort_array(collect_list(struct(col("ts"), col("lineId"), col("templateId")))) as "evs",
+        min(col("ts")) as "firstTs",
         max(when(col("sessionLabel") =!= "normal", col("sessionLabel"))
           .otherwise(lit("normal"))) as "label",
       )
       .select(
-        concat_ws("/", col("window.start").cast("string"),
-                  if (perSource) col("source") else lit("all")) as "key",
-        col("window.start") as "start",
+        key as "key",
+        start as "start",
         expr("transform(evs, e -> e.templateId)") as "events",
         col("label"),
       )

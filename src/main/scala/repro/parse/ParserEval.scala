@@ -1,38 +1,31 @@
 package repro.parse
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** Evaluation metrics for log parsers.
   *
   * Implements both the literature's reference metric (grouping accuracy,
   * Zhu et al. [10]) and the paper's *proposed* token-level metric (§IV,
   * Eq. 1) that scores whether each token's static/variable identity was
   * recovered — the property quantitative anomaly detection depends on.
+  * Both score a parser outcome already on the driver, one pair per line.
   */
 object ParserEval {
 
   /** Grouping accuracy: a line is correctly parsed iff the set of lines
     * sharing its predicted group equals the set of lines sharing its
-    * ground-truth group (exact group match, the standard definition).
+    * ground-truth group (exact group match, the standard definition):
+    * its (pred, true) cell holds as many lines as each of the two groups.
     *
-    * @param assignments (`lineId`, `templateId`) — parser output
-    * @param truth       (`lineId`, `trueId`)      — ground truth
+    * @param pairs (predicted id, true id) of each line
     */
-  def groupingAccuracy(assignments: DataFrame, truth: DataFrame): Double = {
-    val joined = assignments.join(truth, "lineId")
-    val total  = joined.count()
-    if (total == 0) return 0.0
-    val pred = joined.groupBy("templateId").agg(count("*") as "predN")
-    val tru  = joined.groupBy("trueId").agg(count("*") as "trueN")
-    val pair = joined.groupBy("templateId", "trueId").agg(count("*") as "pairN")
-    val correct = pair
-      .join(pred, "templateId")
-      .join(tru, "trueId")
-      .where(col("pairN") === col("predN") && col("pairN") === col("trueN"))
-      .agg(coalesce(sum("pairN"), lit(0L)))
-      .head().getLong(0)
-    correct.toDouble / total
+  def groupingAccuracy(pairs: Seq[(Int, Int)]): Double = {
+    if (pairs.isEmpty) return 0.0
+    def sizes[K](key: ((Int, Int)) => K): Map[K, Int] = pairs.groupMapReduce(key)(_ => 1)(_ + _)
+    val predN = sizes(_._1)
+    val trueN = sizes(_._2)
+    val correct = sizes(identity).iterator.collect {
+      case ((pred, tru), n) if n == predN(pred) && n == trueN(tru) => n
+    }.sum
+    correct.toDouble / pairs.size
   }
 
   /** The paper's token-level metric (Eq. 1): mean over lines of the
@@ -42,19 +35,13 @@ object ParserEval {
     * token must match exactly. Length mismatches score the missing
     * positions 0, with the ground-truth length as denominator.
     *
-    * @param perLine (`lineId`, `predTemplate`, `trueTemplate`) — both
-    *                templates as space-joined token strings
+    * @param pairs (predicted template, true template) of each line, both
+    *              as space-joined token strings; the mean sums them in
+    *              the order given
     */
-  def tokenAccuracy(perLine: DataFrame): Double = {
-    val spark = perLine.sparkSession
-    import spark.implicits._
-    val scores = perLine
-      .select($"predTemplate".cast("string"), $"trueTemplate".cast("string"))
-      .as[(String, String)]
-      .map { case (pred, tru) => lineTokenScore(pred, tru) }
-    val agg = scores.agg(avg("value")).head()
-    if (agg.isNullAt(0)) 0.0 else agg.getDouble(0)
-  }
+  def tokenAccuracy(pairs: Seq[(String, String)]): Double =
+    if (pairs.isEmpty) 0.0
+    else pairs.iterator.map { case (pred, tru) => lineTokenScore(pred, tru) }.sum / pairs.size
 
   /** Per-line Eq. 1 term; exposed for unit tests. */
   def lineTokenScore(predTemplate: String, trueTemplate: String): Double = {

@@ -1,7 +1,6 @@
 package repro.tables
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 
 import repro.logs.LogModel.LogLine
 import repro.parse.{DistributedDrain, Drain, ParserEval, Spell, TemplateOps}
@@ -37,41 +36,28 @@ object ParserHarness {
   /** Distributed run, as T4a's "DistDrain(4,0.5,p8)"; assignments are
     * collected for uniform scoring.
     */
-  def runDistributed(spark: SparkSession, messages: DataFrame): Outcome = {
+  def runDistributed(messages: DataFrame): Outcome = {
     val res = DistributedDrain.parse(messages, depth = 4, simThreshold = 0.5, numPartitions = 8)
     val assign = res.assignments.collect().map(r => (r.getLong(0), r.getInt(1))).toSeq
     res.assignments.unpersist()
     Outcome(assign, res.templates)
   }
 
-  /** Score an outcome against ground truth.
+  /** Score an outcome against the ground truth of the lines it parsed.
+    * Lines are walked in the order given, so callers pass them sorted
+    * by `lineId`; a line with no assignment is left out of both metrics.
     *
-    * @param truth columns `lineId`, `trueId`, `trueTemplate`
+    * @param withPayload whether the expected template covers the full
+    *                    message or only the core text
     */
-  def score(spark: SparkSession, outcome: Outcome, truth: DataFrame): Scores = {
-    import spark.implicits._
-    val assignDf = outcome.assignments.toDF("lineId", "templateId")
-    val grouping = ParserEval.groupingAccuracy(assignDf, truth.select(col("lineId"), col("trueId")))
-    val perLine = outcome.assignments.map { case (id, tid) =>
-      (id, outcome.templates.get(tid).map(TemplateOps.render).getOrElse(""))
-    }.toDF("lineId", "predTemplate")
-      .join(truth.select(col("lineId"), col("trueTemplate")), "lineId")
-    val token = ParserEval.tokenAccuracy(perLine)
+  def score(outcome: Outcome, lines: Seq[LogLine], withPayload: Boolean): Scores = {
+    val assign   = outcome.assignments.toMap
+    val rendered = outcome.templates.map { case (tid, t) => tid -> TemplateOps.render(t) }
+    val scored   = lines.flatMap(l => assign.get(l.lineId).map(l -> _))
+    val grouping = ParserEval.groupingAccuracy(scored.map { case (l, tid) => (tid, l.templateId) })
+    val token = ParserEval.tokenAccuracy(scored.map { case (l, tid) =>
+      (rendered.getOrElse(tid, ""), if (withPayload) l.templateWithPayload else l.template)
+    })
     Scores(grouping, token, outcome.templates.size)
   }
-
-  /** Ground-truth frame for a corpus; `withPayload` selects whether the
-    * expected template covers the full message or only the core text.
-    */
-  def truthFrame(corpus: DataFrame, withPayload: Boolean): DataFrame =
-    corpus.select(
-      col("lineId"),
-      col("templateId") as "trueId",
-      (if (withPayload) col("templateWithPayload") else col("template")) as "trueTemplate",
-    )
-
-  /** Corpus messages as (lineId, message) pairs in arrival order. */
-  def collectMessages(corpus: DataFrame): Seq[(Long, String)] =
-    corpus.select(col("lineId"), col("message")).collect()
-      .map(r => (r.getLong(0), r.getString(1))).sortBy(_._1).toSeq
 }

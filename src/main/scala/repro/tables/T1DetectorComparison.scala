@@ -18,7 +18,7 @@ object T1DetectorComparison {
 
   final case class Row(detector: String, prf: PRF)
 
-  def run(spark: SparkSession, nSessions: Long = 4000, seed: Long = 42L): Seq[Row] = {
+  def run(spark: SparkSession, nSessions: Long, seed: Long = 42L): Seq[Row] = {
     val corpus = LogSynth.hdfsLike(spark, nSessions, anomalyRate = 0.03, quantShare = 0.0, seed)
     val split  = DetectEval.split(DetectEval.sessionSeqs(corpus))
     val rows   = DetectEval.counterPrfs(split).toSeq.map { case (n, p) => Row(n, p) }

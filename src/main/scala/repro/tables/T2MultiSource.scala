@@ -30,7 +30,7 @@ object T2MultiSource {
   /** Tumbling-window length of the two window regimes. */
   private val WindowDur = "2 seconds"
 
-  def run(spark: SparkSession, nSessions: Long = 4000, seed: Long = 42L): Seq[Row] = {
+  def run(spark: SparkSession, nSessions: Long, seed: Long = 42L): Seq[Row] = {
     // purely sequential anomalies: this experiment is about flow mixing,
     // and quantitative anomalies are invisible to every detector here
     val corpus = LogSynth.generate(spark, LogSynth.SynthConfig(

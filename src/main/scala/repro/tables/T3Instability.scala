@@ -33,7 +33,7 @@ object T3Instability {
 
   val Ratios: Seq[Double] = Seq(0.0, 0.05, 0.10, 0.15, 0.20)
 
-  def run(spark: SparkSession, nSessions: Long = 4000, seed: Long = 42L): Seq[Row] = {
+  def run(spark: SparkSession, nSessions: Long, seed: Long = 42L): Seq[Row] = {
     import spark.implicits._
     val corpus = LogSynth.hdfsLike(spark, nSessions, anomalyRate = 0.03, quantShare = 0.0, seed)
     val cut    = DetectEval.firstTestLineId(nSessions)

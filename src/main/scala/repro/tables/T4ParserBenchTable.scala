@@ -35,34 +35,34 @@ object T4ParserBenchTable {
       SynthConfig(Seq(src), nSessions, anomalyRate = 0.02, payloadProb = 0.0, seed = seed))
   }
 
-  def runA(spark: SparkSession, nSessions: Long = 800, seed: Long = 42L): Seq[RowA] =
+  def runA(spark: SparkSession, nSessions: Long, seed: Long = 42L): Seq[RowA] =
     Corpora.flatMap { name =>
-      val corpus = corpusFor(spark, name, nSessions, seed).toDF().persist()
-      val msgs   = ParserHarness.collectMessages(corpus)
-      val truth  = ParserHarness.truthFrame(corpus, withPayload = false)
-      val nTrue  = corpus.select("templateId").distinct().count().toInt
+      // the distributed run reads the persisted frame: its repartition
+      // follows the input's partitioning
+      val corpus = corpusFor(spark, name, nSessions, seed).persist()
+      val lines  = corpus.collect().sortBy(_.lineId).toSeq
+      val msgs   = lines.map(l => (l.lineId, l.message))
+      val nTrue  = lines.map(_.templateId).distinct.size
+      def row(parser: String, outcome: ParserHarness.Outcome) =
+        RowA(name, parser, ParserHarness.score(outcome, lines, withPayload = false), nTrue)
       val rows = Seq(
-        RowA(name, "Drain(4,0.5)", ParserHarness.score(spark, ParserHarness.runDrain(msgs), truth), nTrue),
-        RowA(name, "Spell(0.5)", ParserHarness.score(spark, ParserHarness.runSpell(msgs), truth), nTrue),
-        RowA(name, "DistDrain(4,0.5,p8)",
-          ParserHarness.score(spark,
-            ParserHarness.runDistributed(spark, corpus.select("lineId", "message")), truth), nTrue),
+        row("Drain(4,0.5)", ParserHarness.runDrain(msgs)),
+        row("Spell(0.5)", ParserHarness.runSpell(msgs)),
+        row("DistDrain(4,0.5,p8)",
+          ParserHarness.runDistributed(corpus.toDF().select("lineId", "message"))),
       )
       corpus.unpersist()
       rows
     }
 
-  def runB(spark: SparkSession, nSessions: Long = 800, seed: Long = 42L): Seq[RowB] = {
-    val corpus = corpusFor(spark, "mixed", nSessions, seed).toDF().persist()
-    val msgs   = ParserHarness.collectMessages(corpus)
-    val truth  = ParserHarness.truthFrame(corpus, withPayload = false)
-    val rows = for {
+  def runB(spark: SparkSession, nSessions: Long, seed: Long = 42L): Seq[RowB] = {
+    val lines = corpusFor(spark, "mixed", nSessions, seed).collect().sortBy(_.lineId).toSeq
+    val msgs  = lines.map(l => (l.lineId, l.message))
+    for {
       depth <- Seq(3, 4, 5)
       st    <- Seq(0.3, 0.5, 0.7)
-    } yield RowB(depth, st,
-      ParserHarness.score(spark, ParserHarness.runDrain(msgs, depth, st), truth).groupingAccuracy)
-    corpus.unpersist()
-    rows
+    } yield RowB(depth, st, ParserHarness.score(ParserHarness.runDrain(msgs, depth, st), lines,
+                                                withPayload = false).groupingAccuracy)
   }
 
   def renderA(rows: Seq[RowA]): String =

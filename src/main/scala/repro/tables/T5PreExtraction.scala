@@ -1,7 +1,6 @@
 package repro.tables
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 
 import repro.logs.LogSynth
 import repro.parse.Preprocess
@@ -21,33 +20,27 @@ object T5PreExtraction {
   final case class Row(condition: String, scores: ParserHarness.Scores, trueTemplates: Int)
   final case class Result(payloadTokenShare: Double, rows: Seq[Row])
 
-  def run(spark: SparkSession, nSessions: Long = 800, seed: Long = 42L): Result = {
-    import spark.implicits._
-    val corpus = LogSynth.cloud(spark, nSessions, anomalyRate = 0.02, seed, payloadProb = 0.7)
-      .toDF().persist()
+  def run(spark: SparkSession, nSessions: Long, seed: Long = 42L): Result = {
+    val lines = LogSynth.cloud(spark, nSessions, anomalyRate = 0.02, seed, payloadProb = 0.7)
+      .collect().sortBy(_.lineId).toSeq
 
     // measured share of tokens contributed by the structured payload
-    val (payloadToks, totalToks) = corpus.select(col("message")).as[String]
-      .map { msg =>
-        val (core, payload) = Preprocess.extractStructured(msg)
-        val p = payload.map(s => Preprocess.tokenize(s).size).getOrElse(0)
-        (p, p + Preprocess.tokenize(core).size)
-      }
-      .toDF("p", "t").agg(sum("p"), sum("t")).as[(Long, Long)].head()
+    val (payloadToks, totalToks) = lines.foldLeft((0L, 0L)) { case ((p, t), l) =>
+      val (core, payload) = Preprocess.extractStructured(l.message)
+      val pl = payload.map(s => Preprocess.tokenize(s).size).getOrElse(0)
+      (p + pl, t + pl + Preprocess.tokenize(core).size)
+    }
 
-    val nTrue = corpus.select("templateId").distinct().count().toInt
+    val nTrue = lines.map(_.templateId).distinct.size
 
     // raw condition: the parser sees the concatenated message
-    val rawMsgs  = ParserHarness.collectMessages(corpus)
-    val rawTruth = ParserHarness.truthFrame(corpus, withPayload = true)
-    val raw      = ParserHarness.score(spark, ParserHarness.runDrain(rawMsgs), rawTruth)
+    val rawMsgs = lines.map(l => (l.lineId, l.message))
+    val raw     = ParserHarness.score(ParserHarness.runDrain(rawMsgs), lines, withPayload = true)
 
     // pre-extracted condition: structured data stripped before parsing
-    val coreMsgs  = rawMsgs.map { case (id, m) => (id, Preprocess.extractStructured(m)._1) }
-    val coreTruth = ParserHarness.truthFrame(corpus, withPayload = false)
-    val core      = ParserHarness.score(spark, ParserHarness.runDrain(coreMsgs), coreTruth)
+    val coreMsgs = rawMsgs.map { case (id, m) => (id, Preprocess.extractStructured(m)._1) }
+    val core     = ParserHarness.score(ParserHarness.runDrain(coreMsgs), lines, withPayload = false)
 
-    corpus.unpersist()
     Result(payloadToks.toDouble / totalToks,
            Seq(Row("raw message", raw, nTrue), Row("pre-extracted", core, nTrue)))
   }

@@ -7,7 +7,7 @@ import repro.core.Metrics.PRF
 import repro.detect.QuantDetector
 import repro.logs.LogModel.LogLine
 import repro.logs.LogSynth
-import repro.parse.{ParserEval, Preprocess, TemplateOps}
+import repro.parse.{Preprocess, TemplateOps}
 
 /** T6 — the paper's Eq. 1 claim: quantitative anomalies are detectable
   * only when the parser correctly identifies the variable parts, so the
@@ -27,9 +27,9 @@ object T6QuantDetection {
 
   final case class Row(condition: String, tokenAccuracy: Double, prf: PRF)
 
-  def run(spark: SparkSession, nSessions: Long = 4000, seed: Long = 42L): Seq[Row] = {
+  def run(spark: SparkSession, nSessions: Long, seed: Long = 42L): Seq[Row] = {
     val corpus = LogSynth.hdfsLike(spark, nSessions, anomalyRate = 0.05, quantShare = 1.0, seed)
-    val all    = corpus.collect().sortBy(_.lineId)
+    val all    = corpus.collect().sortBy(_.lineId).toSeq
     val cut    = DetectEval.firstTestLineId(nSessions)
     val isTrain = (l: LogLine) => l.lineId < cut
 
@@ -47,10 +47,10 @@ object T6QuantDetection {
           (tid, outcome.templates.get(tid).map(t => TemplateOps.extractVars(t, toks)).getOrElse(Nil))
         }
       })
-      Row(name, meanTokenAccuracy(all, outcome), prf)
+      Row(name, ParserHarness.score(outcome, all, withPayload = false).tokenAccuracy, prf)
     }
 
-    val msgs = all.map(l => (l.lineId, l.message)).toSeq
+    val msgs = all.map(l => (l.lineId, l.message))
 
     // the paper's central claim isolated: a parser that groups perfectly
     // but never identifies variable parts (templates stay all-static)
@@ -58,7 +58,7 @@ object T6QuantDetection {
       all.groupBy(_.templateId).view
         .mapValues(ls => Preprocess.tokenize(ls.minBy(_.lineId).message)).toMap
     val groupingOnly = ParserHarness.Outcome(
-      all.map(l => (l.lineId, l.templateId)).toSeq, staticTemplates)
+      all.map(l => (l.lineId, l.templateId)), staticTemplates)
 
     Seq(
       oracle,
@@ -68,19 +68,8 @@ object T6QuantDetection {
     )
   }
 
-  private def meanTokenAccuracy(all: Array[LogLine], outcome: ParserHarness.Outcome): Double = {
-    val assign = outcome.assignments.toMap
-    val scores = all.flatMap { l =>
-      assign.get(l.lineId).map { tid =>
-        val pred = outcome.templates.get(tid).map(TemplateOps.render).getOrElse("")
-        ParserEval.lineTokenScore(pred, l.template)
-      }
-    }
-    if (scores.isEmpty) 0.0 else scores.sum / scores.length
-  }
-
   /** Fit on normal training lines, decide per test session. */
-  private def evalCondition(all: Array[LogLine], isTrain: LogLine => Boolean,
+  private def evalCondition(all: Seq[LogLine], isTrain: LogLine => Boolean,
                             parse: LogLine => Option[(Int, Seq[String])]): PRF = {
     val quant = new QuantDetector()
     all.iterator.filter(l => isTrain(l) && l.sessionLabel == "normal").foreach { l =>

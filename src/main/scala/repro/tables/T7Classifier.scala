@@ -54,7 +54,7 @@ object T7Classifier {
       }
   }
 
-  def run(spark: SparkSession, nSessions: Long = 12000, holdout: Int = 200,
+  def run(spark: SparkSession, nSessions: Long, holdout: Int = 200,
           seed: Long = 42L): Seq[Row] = {
     val rs = reports(spark, nSessions, seed)
     require(rs.size > holdout + FeedbackSteps.max,

@@ -1,5 +1,8 @@
 package repro.parse
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+
 import repro.{Oracle, SparkSpec}
 
 class ParserEvalSpec extends SparkSpec {
@@ -7,37 +10,32 @@ class ParserEvalSpec extends SparkSpec {
   import spark.implicits._
 
   test("grouping accuracy is 1.0 for a perfect assignment") {
-    val truth  = Seq((1L, 10), (2L, 10), (3L, 20)).toDF("lineId", "trueId")
-    val assign = Seq((1L, 0), (2L, 0), (3L, 1)).toDF("lineId", "templateId")
-    assert(ParserEval.groupingAccuracy(assign, truth) == 1.0)
+    assert(ParserEval.groupingAccuracy(Seq((0, 10), (0, 10), (1, 20))) == 1.0)
   }
 
   test("grouping accuracy penalizes a split group") {
-    val truth  = Seq((1L, 10), (2L, 10), (3L, 10), (4L, 20)).toDF("lineId", "trueId")
-    val assign = Seq((1L, 0), (2L, 0), (3L, 5), (4L, 1)).toDF("lineId", "templateId")
     // lines 1,2,3 all wrong (their groups don't match the true set); 4 right
-    assert(math.abs(ParserEval.groupingAccuracy(assign, truth) - 0.25) < 1e-9)
+    val pairs = Seq((0, 10), (0, 10), (5, 10), (1, 20))
+    assert(math.abs(ParserEval.groupingAccuracy(pairs) - 0.25) < 1e-9)
   }
 
   test("grouping accuracy penalizes a merged group") {
-    val truth  = Seq((1L, 10), (2L, 20), (3L, 30)).toDF("lineId", "trueId")
-    val assign = Seq((1L, 0), (2L, 0), (3L, 1)).toDF("lineId", "templateId")
-    assert(math.abs(ParserEval.groupingAccuracy(assign, truth) - (1.0 / 3)) < 1e-9)
+    val pairs = Seq((0, 10), (0, 20), (1, 30))
+    assert(math.abs(ParserEval.groupingAccuracy(pairs) - (1.0 / 3)) < 1e-9)
   }
 
   test("grouping accuracy of empty input is 0") {
-    val empty = Seq.empty[(Long, Int)].toDF("lineId", "templateId")
-    val truth = Seq.empty[(Long, Int)].toDF("lineId", "trueId")
-    assert(ParserEval.groupingAccuracy(empty, truth) == 0.0)
+    assert(ParserEval.groupingAccuracy(Nil) == 0.0)
   }
 
-  test("grouping accuracy agrees with a DuckDB SQL oracle") {
-    val truth  = Seq((1L, 10), (2L, 10), (3L, 10), (4L, 20), (5L, 20), (6L, 30))
-      .toDF("lineId", "trueId")
-    val assign = Seq((1L, 0), (2L, 0), (3L, 7), (4L, 1), (5L, 1), (6L, 2))
-      .toDF("lineId", "templateId")
-    val acc = ParserEval.groupingAccuracy(assign, truth)
-    val sparkSide = Seq(("acc", acc)).toDF("metric", "value")
+  /** Holds `groupingAccuracy(pairs)` equal to the same metric in DuckDB
+    * SQL, over tables built from the pairs with line i as `lineId` i.
+    */
+  private def assertGroupingOracle(pairs: Seq[(Int, Int)]): Unit = {
+    val lines  = pairs.zipWithIndex
+    val assign = lines.map { case ((pred, _), i) => (i.toLong, pred) }.toDF("lineId", "templateId")
+    val truth  = lines.map { case ((_, tru), i) => (i.toLong, tru) }.toDF("lineId", "trueId")
+    val sparkSide = Seq(("acc", ParserEval.groupingAccuracy(pairs))).toDF("metric", "value")
     Oracle.assertEquivalent(
       sparkSide,
       """
@@ -56,6 +54,19 @@ class ParserEvalSpec extends SparkSpec {
       """,
       "assign" -> assign, "truth" -> truth,
     )
+  }
+
+  test("grouping accuracy agrees with a DuckDB SQL oracle") {
+    assertGroupingOracle(Seq((0, 10), (0, 10), (7, 10), (1, 20), (1, 20), (2, 30)))
+  }
+
+  test("grouping accuracy agrees with the DuckDB SQL oracle on random small assignments") {
+    val pairs = Gen.choose(1, 12).flatMap(n =>
+      Gen.listOfN(n, Gen.zip(Gen.choose(0, 3), Gen.choose(0, 3))))
+    val prop = Prop.forAllNoShrink(pairs) { ps => assertGroupingOracle(ps); Prop.passed }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(20)
+                              .withInitialSeed(Seed(23L)), prop)
+    assert(result.passed, result.status)
   }
 
   test("lineTokenScore: perfect match scores 1") {
@@ -80,17 +91,16 @@ class ParserEvalSpec extends SparkSpec {
   }
 
   test("tokenAccuracy averages per-line scores (Eq. 1)") {
-    val perLine = Seq(
-      (1L, "a b c", "a b c"),   // 1.0
-      (2L, "a x c", "a b c"),   // 2/3
-      (3L, "<*> b", "<*> b"),   // 1.0
-    ).toDF("lineId", "predTemplate", "trueTemplate")
+    val pairs = Seq(
+      ("a b c", "a b c"),   // 1.0
+      ("a x c", "a b c"),   // 2/3
+      ("<*> b", "<*> b"),   // 1.0
+    )
     val expect = (1.0 + 2.0 / 3 + 1.0) / 3
-    assert(math.abs(ParserEval.tokenAccuracy(perLine) - expect) < 1e-9)
+    assert(math.abs(ParserEval.tokenAccuracy(pairs) - expect) < 1e-9)
   }
 
-  test("tokenAccuracy of empty frame is 0") {
-    val perLine = Seq.empty[(Long, String, String)].toDF("lineId", "predTemplate", "trueTemplate")
-    assert(ParserEval.tokenAccuracy(perLine) == 0.0)
+  test("tokenAccuracy of empty input is 0") {
+    assert(ParserEval.tokenAccuracy(Nil) == 0.0)
   }
 }

@@ -82,6 +82,10 @@ class MoniLogPipelineSpec extends SparkSpec {
     val repeats = Seq(EventRec(ts(1), 1, Seq("41")), EventRec(ts(2), 1, Seq("42")),
                       EventRec(ts(3), 1, Seq("42")), EventRec(ts(4), 1, Seq("41")))
     assert(collapse(repeats) == Seq(repeats(0), repeats(1), repeats(3)))
+    // a run of three equal events keeps one; an empty sequence stays empty
+    val runs = Seq(1, 1, 2, 2, 2, 3, 1).map(t => EventRec(ts(0), t, Nil))
+    assert(collapse(runs).map(_.templateId) == Seq(1, 2, 3, 1))
+    assert(collapse(Nil).isEmpty)
   }
 
   test("detectOne passes a normal sequence") {

@@ -1,13 +1,9 @@
 package repro.tables
 
-import java.sql.Timestamp
-
 import scala.io.{Codec, Source}
 
 import repro.SparkSpec
 import repro.logs.LogSynth
-import repro.stream.MoniLogPipeline
-import repro.stream.MoniLogPipeline.EventRec
 
 /** Shape tests for every reproduced table at small scale: the claims the
   * paper (or its cited reference) makes must already hold qualitatively
@@ -63,18 +59,11 @@ class TablesSpec extends SparkSpec {
     assertGolden("T3", T3Instability.render(rows))
   }
 
-  test("T3: dedupConsecutive") {
-    // T3's duplicated deliveries are collapsed by the pipeline's own step
-    def evs(tids: Int*) = tids.map(t => EventRec(new Timestamp(0L), t, Nil))
-    assert(MoniLogPipeline.collapse(evs(1, 1, 2, 2, 2, 3, 1)).map(_.templateId) == Seq(1, 2, 3, 1))
-    assert(MoniLogPipeline.collapse(Nil).isEmpty)
-  }
-
   test("ParserHarness.runDistributed leaves no cached data behind") {
     val messages = LogSynth.hdfsLike(spark, 100).toDF().select("lineId", "message")
     def cached = spark.sparkContext.getPersistentRDDs.size
     val before = cached
-    val outcome = ParserHarness.runDistributed(spark, messages)
+    val outcome = ParserHarness.runDistributed(messages)
     assert(outcome.assignments.nonEmpty)
     assert(cached == before)
   }
