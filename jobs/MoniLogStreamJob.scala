@@ -38,6 +38,10 @@ object MoniLogStreamJob {
       .write.json(spool)
     Console.err.println(s"[monilog] spool directory: $spool")
 
+    // The query keeps session-window state per shuffle partition and
+    // commits every partition on every trigger: one partition per core,
+    // not Spark's default of 200.
+    spark.conf.set("spark.sql.shuffle.partitions", spark.sparkContext.defaultParallelism.toLong)
     val raw = spark.readStream
       .schema("ts TIMESTAMP, source STRING, sessionId STRING, message STRING")
       .json(spool)

@@ -18,7 +18,8 @@ import repro.stream.MoniLogPipeline.{Models, RawLog}
   * history is then structured with the serving pipeline's own
   * [[MoniLogPipeline.parseStream]] → [[MoniLogPipeline.sequence]], so the
   * sequence and value models are fitted on sequences of exactly the shape
-  * they later score. Only the compact models live on the driver.
+  * they later score. The fit itself is not distributed yet: every history
+  * sequence is collected to the driver, which fits both models there.
   */
 object MoniLog {
 

@@ -18,7 +18,7 @@ import scala.collection.mutable
   * paper's Eq. 1 token metric.
   */
 class QuantDetector(val zThreshold: Double = 6.0) extends Serializable {
-  import QuantDetector.MinSamples
+  import QuantDetector.{key, parseNum, MinSamples}
 
   /** Mean and population std by Welford's updates, which stay exact where
     * `sumSq/n − mean²` cancels (values near 1e9 with a small spread).
@@ -34,13 +34,18 @@ class QuantDetector(val zThreshold: Double = 6.0) extends Serializable {
     def std: Double = if (n < 2) 0.0 else math.sqrt(m2 / n)
   }
 
-  private val stats = mutable.Map.empty[(Int, Int), Stats]
+  /** Statistics per (template, variable slot), keyed by `key(templateId, slot)`. */
+  private val stats = mutable.LongMap.empty[Stats]
 
   /** Observe one line's variables during (anomaly-free) training. */
-  def observe(templateId: Int, variables: Seq[String]): Unit =
-    variables.zipWithIndex.foreach { case (v, slot) =>
-      parseNum(v).foreach(d => stats.getOrElseUpdate((templateId, slot), new Stats).add(d))
+  def observe(templateId: Int, variables: Seq[String]): Unit = {
+    var slot = 0
+    variables.foreach { v =>
+      val d = parseNum(v)
+      if (!d.isNaN) stats.getOrElseUpdate(key(templateId, slot), new Stats).add(d)
+      slot += 1
     }
+  }
 
   def fit(lines: IterableOnce[(Int, Seq[String])]): this.type = {
     lines.iterator.foreach { case (tid, vars) => observe(tid, vars) }
@@ -52,31 +57,52 @@ class QuantDetector(val zThreshold: Double = 6.0) extends Serializable {
     */
   def score(templateId: Int, variables: Seq[String]): Double = {
     var worst = 0.0
-    variables.zipWithIndex.foreach { case (v, slot) =>
-      for {
-        d <- parseNum(v)
-        s <- stats.get((templateId, slot))
-        if s.n >= MinSamples && s.std > 1e-9
-      } {
-        val z = math.abs(d - s.mean) / s.std
-        if (z > worst) worst = z
+    var slot  = 0
+    variables.foreach { v =>
+      val d = parseNum(v)
+      if (!d.isNaN) {
+        val s = stats.getOrNull(key(templateId, slot))
+        if (s != null && s.n >= MinSamples) {
+          val std = s.std
+          if (std > 1e-9) {
+            val z = math.abs(d - s.mean) / std
+            if (z > worst) worst = z
+          }
+        }
       }
+      slot += 1
     }
     worst
   }
 
   def isAnomaly(templateId: Int, variables: Seq[String]): Boolean =
     score(templateId, variables) > zThreshold
-
-  private def parseNum(s: String): Option[Double] = {
-    val t = s.stripSuffix(",")
-    if (t.nonEmpty && t.forall(c => c.isDigit || c == '.') && t.count(_ == '.') <= 1)
-      t.toDoubleOption
-    else None
-  }
 }
 
 object QuantDetector {
+
+  /** One slot's map key: the template id in the high word, the slot in the low. */
+  private def key(templateId: Int, slot: Int): Long =
+    (templateId.toLong << 32) | (slot & 0xffffffffL)
+
+  /** The value of a numeric variable — ASCII digits with at most one `.`
+    * and an optional trailing `,` — or NaN for anything else.
+    */
+  private[detect] def parseNum(s: String): Double = {
+    val end    = if (s.endsWith(",")) s.length - 1 else s.length
+    var digits = 0
+    var dots   = 0
+    var i      = 0
+    while (i < end) {
+      val c = s.charAt(i)
+      if (c >= '0' && c <= '9') digits += 1
+      else if (c == '.') dots += 1
+      else return Double.NaN
+      i += 1
+    }
+    if (digits == 0 || dots > 1) Double.NaN
+    else java.lang.Double.parseDouble(if (end == s.length) s else s.substring(0, end))
+  }
 
   /** Observations a slot needs before it can score. */
   private val MinSamples = 20

@@ -15,16 +15,10 @@ import repro.parse.Preprocess
   * instability.
   */
 class SemanticMatcher(knownTemplates: Map[Int, Seq[String]]) extends Serializable {
+  import SemanticMatcher.norm
 
   /** Least coverage of a known template's static tokens that maps onto it. */
   private val Tau = 0.5
-
-  /** Normalize a token for comparison: case-fold, strip punctuation and
-    * version-y suffixes — the lexical stand-in for embedding proximity
-    * of word variants.
-    */
-  private def norm(tok: String): String =
-    tok.toLowerCase.replaceAll("[^a-z0-9*]", "").stripSuffix("v2")
 
   private def keyTokens(toks: Seq[String]): Set[String] =
     toks.filterNot(_.contains("<*>")).map(norm).filter(_.nonEmpty).toSet
@@ -60,5 +54,29 @@ class SemanticMatcher(knownTemplates: Map[Int, Seq[String]]) extends Serializabl
       }
     }
     if (bestKey._1 >= Tau) Some(bestId) else None
+  }
+}
+
+object SemanticMatcher {
+
+  /** Normalize a token for comparison: case-fold, strip punctuation and
+    * version-y suffixes — the lexical stand-in for embedding proximity
+    * of word variants. One scan, equal to
+    * `tok.toLowerCase(Locale.ROOT).replaceAll("[^a-z0-9*]", "").stripSuffix("v2")`:
+    * a character whose lower case is an ASCII letter, digit or `*` is
+    * kept in that form (`İ` as `i`, the Kelvin sign as `k`), every other
+    * character, surrogates included, is dropped.
+    */
+  private[detect] def norm(tok: String): String = {
+    val out = new java.lang.StringBuilder(tok.length)
+    var i   = 0
+    while (i < tok.length) {
+      val c = Character.toLowerCase(tok.charAt(i))
+      if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '*') out.append(c)
+      i += 1
+    }
+    val n = out.length
+    if (n >= 2 && out.charAt(n - 2) == 'v' && out.charAt(n - 1) == '2') out.setLength(n - 2)
+    out.toString
   }
 }

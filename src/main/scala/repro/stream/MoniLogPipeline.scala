@@ -3,7 +3,7 @@ package repro.stream
 import java.sql.Timestamp
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.{Dataset, Encoder, Encoders}
 import org.apache.spark.sql.catalyst.util.IntervalUtils
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.StreamingQuery
@@ -82,6 +82,13 @@ object MoniLogPipeline {
       templates: Map[Int, Vector[String]],
   ) extends Serializable
 
+  // Derived once, not by reflection in every stage call as
+  // `spark.implicits` would; lazy, so executors that only run the
+  // closures never derive them.
+  private implicit lazy val parsedEventEncoder: Encoder[ParsedEvent]     = Encoders.product
+  private implicit lazy val seqRowEncoder: Encoder[SeqRow]               = Encoders.product
+  private implicit lazy val anomalyReportEncoder: Encoder[AnomalyReport] = Encoders.product
+
   // ----------------------------------------------------------------
   // step 1 — parsing
   // ----------------------------------------------------------------
@@ -107,11 +114,8 @@ object MoniLogPipeline {
     ParsedEvent(raw.ts, raw.source, raw.sessionId, NovelId, matchedExact = false, Nil)
 
   /** Step 1 as a stream transformation. */
-  def parseStream(raw: Dataset[RawLog], models: Broadcast[Models]): Dataset[ParsedEvent] = {
-    val spark = raw.sparkSession
-    import spark.implicits._
+  def parseStream(raw: Dataset[RawLog], models: Broadcast[Models]): Dataset[ParsedEvent] =
     raw.map(r => parseOne(models.value, r))
-  }
 
   // ----------------------------------------------------------------
   // step 2 — sequence structuring (gap-cut sessions)
@@ -136,15 +140,14 @@ object MoniLogPipeline {
     * MoniLog's detection step needs. `windowStart` is the first event's ts;
     * events without a ts are dropped.
     *
-    * Batch input takes one shuffle on the key, a sort within each
-    * partition and a linear gap cut. Streaming input takes a watermarked
-    * `session_window` aggregation, whose state store holds open sessions
-    * across micro-batches; append mode emits a sequence once the watermark
-    * passes its close. Both give the same rows.
+    * Batch input takes one shuffle on the key into one partition per core
+    * (`defaultParallelism`, whatever `spark.sql.shuffle.partitions` says),
+    * a sort within each partition and a linear gap cut. Streaming input
+    * takes a watermarked `session_window` aggregation, whose state store
+    * holds open sessions across micro-batches; append mode emits a sequence
+    * once the watermark passes its close. Both give the same rows.
     */
-  def sequence(parsed: Dataset[ParsedEvent]): Dataset[SeqRow] = {
-    val spark = parsed.sparkSession
-    import spark.implicits._
+  def sequence(parsed: Dataset[ParsedEvent]): Dataset[SeqRow] =
     if (parsed.isStreaming)
       parsed.withWatermark("ts", Watermark)
         .groupBy(session_window(col("ts"), SessionGap) as "w", col("source"), col("sessionId"))
@@ -158,11 +161,11 @@ object MoniLogPipeline {
         .as[SeqRow]
     else
       parsed.filter(col("ts").isNotNull)
-        .repartition(col("source"), col("sessionId"))
+        .repartition(parsed.sparkSession.sparkContext.defaultParallelism,
+                     col("source"), col("sessionId"))
         .sortWithinPartitions(col("source"), col("sessionId"), col("ts"),
                               col("templateId"), col("vars"))
         .mapPartitions(cutSessions)
-  }
 
   /** Cut events sorted by (source, sessionId, ts, …) into sequences. */
   private def cutSessions(sorted: Iterator[ParsedEvent]): Iterator[SeqRow] = new Iterator[SeqRow] {
@@ -194,11 +197,17 @@ object MoniLogPipeline {
     * event's: a line delivered twice (the duplicated delivery of §I) is one
     * step of its flow. Repeats whose values differ stay.
     */
-  def collapse(events: Seq[EventRec]): Seq[EventRec] =
-    events.foldLeft(Vector.empty[EventRec]) { (kept, e) =>
-      if (kept.lastOption.exists(p => p.templateId == e.templateId && p.vars == e.vars)) kept
-      else kept :+ e
+  def collapse(events: Seq[EventRec]): Seq[EventRec] = {
+    val kept = Vector.newBuilder[EventRec]
+    var last: EventRec = null
+    events.foreach { e =>
+      if (last == null || last.templateId != e.templateId || last.vars != e.vars) {
+        kept += e
+        last = e
+      }
     }
+    kept.result()
+  }
 
   /** Detect anomalies in one [[collapse]]d sequence; a report's `events` and
     * `anomalousIdx` index the collapsed sequence. Pure.
@@ -207,26 +216,29 @@ object MoniLogPipeline {
     val events = collapse(row.events)
     val ids    = events.map(_.templateId)
     val seqBad = models.sequential.anomalousEvents(ids)
-    val quantScores = events.zipWithIndex.map { case (e, i) =>
-      i -> (if (e.templateId == NovelId) 0.0
-            else models.quantitative.score(e.templateId, e.vars))
+    val quant  = models.quantitative
+    val bad    = Vector.newBuilder[Int]
+    var maxZ   = 0.0 // scores are never negative
+    var i      = 0
+    events.foreach { e =>
+      val z = if (e.templateId == NovelId) 0.0 else quant.score(e.templateId, e.vars)
+      if (z > quant.zThreshold) bad += i
+      if (z > maxZ) maxZ = z
+      i += 1
     }
-    val quantBad = quantScores.collect { case (i, z) if z > models.quantitative.zThreshold => i }
+    val quantBad = bad.result()
     if (seqBad.isEmpty && quantBad.isEmpty) None
     else {
       val kind  = if (seqBad.nonEmpty) "sequential" else "quantitative"
-      val score = if (seqBad.nonEmpty) seqBad.size.toDouble else quantScores.map(_._2).max
+      val score = if (seqBad.nonEmpty) seqBad.size.toDouble else maxZ
       Some(AnomalyReport(row.windowStart, row.source, row.sessionId, kind,
                          ids, (seqBad ++ quantBad).distinct.sorted, score,
                          pool = "", criticality = ""))
     }
   }
 
-  def detect(sequences: Dataset[SeqRow], models: Broadcast[Models]): Dataset[AnomalyReport] = {
-    val spark = sequences.sparkSession
-    import spark.implicits._
+  def detect(sequences: Dataset[SeqRow], models: Broadcast[Models]): Dataset[AnomalyReport] =
     sequences.flatMap(r => detectOne(models.value, r))
-  }
 
   // ----------------------------------------------------------------
   // step 3 — classification
@@ -234,15 +246,12 @@ object MoniLogPipeline {
 
   /** Attach pool + criticality from a classifier snapshot. */
   def classify(reports: Dataset[AnomalyReport],
-               classifier: Broadcast[PoolClassifier]): Dataset[AnomalyReport] = {
-    val spark = reports.sparkSession
-    import spark.implicits._
+               classifier: Broadcast[PoolClassifier]): Dataset[AnomalyReport] =
     reports.map { r =>
       val (pool, crit) = classifier.value.classify(
         PoolClassifier.ReportFeatures(r.source, r.kind, r.events.distinct))
       r.copy(pool = pool, criticality = crit)
     }
-  }
 
   // ----------------------------------------------------------------
   // end-to-end

@@ -5,6 +5,7 @@ import java.math.MathContext
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable
 import scala.util.Random
 
 class QuantDetectorSpec extends AnyFunSuite {
@@ -121,6 +122,88 @@ class QuantDetectorSpec extends AnyFunSuite {
     }
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300)
                               .withInitialSeed(Seed(17L)), prop)
+    assert(result.passed, result.status)
+  }
+
+  /** `parseNum` as it was before the one-pass scan. */
+  private def referenceParseNum(s: String): Option[Double] = {
+    val t = s.stripSuffix(",")
+    if (t.nonEmpty && t.forall(c => c.isDigit || c == '.') && t.count(_ == '.') <= 1)
+      t.toDoubleOption
+    else None
+  }
+
+  /** The detector as it was before its allocation-free rewrite: tuple
+    * keys, `zipWithIndex` and an `Option` chain per slot.
+    */
+  private final class ReferenceDetector {
+    private final class Stats {
+      var n = 0L; var mean = 0.0; var m2 = 0.0
+      def add(v: Double): Unit = { n += 1; val d = v - mean; mean += d / n; m2 += d * (v - mean) }
+      def std: Double = if (n < 2) 0.0 else math.sqrt(m2 / n)
+    }
+    private val stats = mutable.Map.empty[(Int, Int), Stats]
+    def observe(templateId: Int, variables: Seq[String]): Unit =
+      variables.zipWithIndex.foreach { case (v, slot) =>
+        referenceParseNum(v).foreach(d => stats.getOrElseUpdate((templateId, slot), new Stats).add(d))
+      }
+    def score(templateId: Int, variables: Seq[String]): Double = {
+      var worst = 0.0
+      variables.zipWithIndex.foreach { case (v, slot) =>
+        for {
+          d <- referenceParseNum(v)
+          s <- stats.get((templateId, slot))
+          if s.n >= 20 && s.std > 1e-9
+        } {
+          val z = math.abs(d - s.mean) / s.std
+          if (z > worst) worst = z
+        }
+      }
+      worst
+    }
+  }
+
+  /** Variable strings: the edge cases by name, then random mixes of
+    * digits, dots, commas, an Arabic-Indic digit and a letter.
+    */
+  private val edgeVars = Seq("12,", "1.2.3", "", ",", ".", "٣", "1.", ".5", "7,,", "1,2", "٣4")
+  private val varGen: Gen[String] = Gen.frequency(
+    2 -> Gen.oneOf(edgeVars),
+    3 -> Gen.choose(0, 6).flatMap(Gen.listOfN(_, Gen.oneOf("0123456789.,٣x".toSeq))).map(_.mkString),
+    5 -> Gen.choose(-5.0, 2000.0).map(d => f"${math.abs(d)}%.2f"),
+    5 -> Gen.choose(0, 2000).map(_.toString),
+  )
+
+  test("parseNum equals the stripSuffix/forall/toDoubleOption reference") {
+    for (v <- edgeVars)
+      assert(QuantDetector.parseNum(v).equals(referenceParseNum(v).getOrElse(Double.NaN)), v)
+    val prop = Prop.forAllNoShrink(varGen) { v =>
+      val got = QuantDetector.parseNum(v)
+      Prop(got.equals(referenceParseNum(v).getOrElse(Double.NaN))) :| s"'$v' → $got"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(1000)
+                              .withInitialSeed(Seed(31L)), prop)
+    assert(result.passed, result.status)
+  }
+
+  test("observe and score equal the tuple-keyed reference bit for bit") {
+    val line = for {
+      tid  <- Gen.choose(1, 3)
+      vars <- Gen.choose(0, 4).flatMap(Gen.listOfN(_, varGen))
+    } yield (tid, vars)
+    val sample = for {
+      history <- Gen.choose(0, 300).flatMap(Gen.listOfN(_, line))
+      probes  <- Gen.listOfN(20, line)
+    } yield (history, probes)
+    val prop = Prop.forAllNoShrink(sample) { case (history, probes) =>
+      val q   = new QuantDetector().fit(history.iterator)
+      val ref = new ReferenceDetector
+      history.foreach { case (tid, vars) => ref.observe(tid, vars) }
+      val diff = probes.find { case (tid, vars) => !q.score(tid, vars).equals(ref.score(tid, vars)) }
+      Prop(diff.isEmpty) :| s"differs on $diff"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200)
+                              .withInitialSeed(Seed(37L)), prop)
     assert(result.passed, result.status)
   }
 }

@@ -1,5 +1,9 @@
 package repro.detect
 
+import java.util.Locale
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.parse.Preprocess
@@ -70,5 +74,35 @@ class SemanticMatcherSpec extends AnyFunSuite {
     assert(mm.mapTemplate(Seq("job", "start", "on", "node")).contains(10))
     // 3/4 against 5/6
     assert(mm.mapTemplate(Seq("job", "start", "on", "host", "with")).contains(11))
+  }
+
+  /** The regex form `norm` replaced, with the case fold pinned to the root
+    * locale (the regex form folded in the JVM's default locale).
+    */
+  private def referenceNorm(tok: String): String =
+    tok.toLowerCase(Locale.ROOT).replaceAll("[^a-z0-9*]", "").stripSuffix("v2")
+
+  test("norm equals the regex reference on random tokens") {
+    // ASCII, punctuation, '*', non-ASCII letters (İ and the Kelvin sign
+    // fold to ASCII), non-ASCII digits and surrogate pairs
+    val pieces = Gen.frequency(
+      6 -> Gen.alphaNumChar.map(_.toString),
+      2 -> Gen.oneOf("*", "_", "-", ":", ".", "/", "<*>", " "),
+      3 -> Gen.oneOf("é", "ß", "Σ", "ς", "ı", "İ", "\u212A", "Å", "Ω", "ǅ", "٣", "Ⅻ"),
+      2 -> Gen.oneOf("\uD801\uDC00", "\uD83D\uDE00", "\uD835\uDC00", "\uD801", "\uDC00"),
+    )
+    val token = for {
+      body   <- Gen.choose(0, 8).flatMap(Gen.listOfN(_, pieces))
+      suffix <- Gen.oneOf("", "v2", "V2", "_v2", "v2v2", "v2.", "v")
+    } yield body.mkString + suffix
+    for (t <- Seq("", "v2", "V2", "*", "İv2", "\u212Av2", "Sending_v2", "src:", "<*>"))
+      assert(SemanticMatcher.norm(t) == referenceNorm(t), t)
+    val prop = Prop.forAllNoShrink(token) { t =>
+      val got = SemanticMatcher.norm(t)
+      Prop(got == referenceNorm(t)) :| s"'$t' → '$got'"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(2000)
+                              .withInitialSeed(Seed(41L)), prop)
+    assert(result.passed, result.status)
   }
 }

@@ -1,5 +1,7 @@
 package repro.parse
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 class TemplateOpsSpec extends AnyFunSuite {
@@ -33,5 +35,35 @@ class TemplateOpsSpec extends AnyFunSuite {
     val vars = TemplateOps.extractVars(d.templates(id),
                                        Preprocess.tokenize("job 99 done in 3 ms"))
     assert(vars == Seq("99", "3"))
+  }
+
+  /** The collect-over-indices form the while loop replaced. */
+  private def referenceExtractVars(template: Seq[String], tokens: Seq[String]): Seq[String] =
+    template.indices.collect {
+      case i if template(i) == "<*>" && i < tokens.length => tokens(i)
+    }
+
+  test("extractVars equals the index-collect reference on mismatched lengths") {
+    val tok = Gen.oneOf("<*>", "a", "b", "42", "")
+    val pair = for {
+      template <- Gen.choose(0, 7).flatMap(Gen.listOfN(_, tok))
+      ends     <- Gen.oneOf(Seq("<*>") -> Seq(), Seq() -> Seq("<*>"), Seq("<*>") -> Seq("<*>"),
+                            Seq() -> Seq())
+      tokens   <- Gen.choose(0, 9).flatMap(Gen.listOfN(_, tok))
+    } yield ((ends._1 ++ template ++ ends._2).toVector, tokens.toVector)
+    val prop = Prop.forAllNoShrink(pair) { case (template, tokens) =>
+      val got = TemplateOps.extractVars(template, tokens)
+      Prop(got == referenceExtractVars(template, tokens)) :| s"$template / $tokens → $got"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(500)
+                              .withInitialSeed(Seed(29L)), prop)
+    assert(result.passed, result.status)
+    // both directions of a length mismatch, with a wildcard at either end
+    for ((template, tokens) <- Seq(
+           Seq("<*>", "a", "<*>") -> Seq("x"),
+           Seq("<*>", "a", "<*>") -> Seq("x", "a", "y", "z"),
+           Seq("a", "<*>") -> Seq(),
+           Seq() -> Seq("x")))
+      assert(TemplateOps.extractVars(template, tokens) == referenceExtractVars(template, tokens))
   }
 }

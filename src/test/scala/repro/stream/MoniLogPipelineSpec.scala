@@ -2,7 +2,11 @@ package repro.stream
 
 import java.sql.Timestamp
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 
 import repro.SparkSpec
 import repro.classify.PoolClassifier
@@ -88,6 +92,54 @@ class MoniLogPipelineSpec extends SparkSpec {
     assert(collapse(Nil).isEmpty)
   }
 
+  /** `collapse` as a fold over an appended Vector, before the builder pass. */
+  private def referenceCollapse(events: Seq[EventRec]): Seq[EventRec] =
+    events.foldLeft(Vector.empty[EventRec]) { (kept, e) =>
+      if (kept.lastOption.exists(p => p.templateId == e.templateId && p.vars == e.vars)) kept
+      else kept :+ e
+    }
+
+  /** `detectOne` with its per-event (index, score) tuples, before the loop. */
+  private def referenceDetectOne(models: Models, row: SeqRow): Option[AnomalyReport] = {
+    val events = referenceCollapse(row.events)
+    val ids    = events.map(_.templateId)
+    val seqBad = models.sequential.anomalousEvents(ids)
+    val quantScores = events.zipWithIndex.map { case (e, i) =>
+      i -> (if (e.templateId == NovelId) 0.0
+            else models.quantitative.score(e.templateId, e.vars))
+    }
+    val quantBad = quantScores.collect { case (i, z) if z > models.quantitative.zThreshold => i }
+    if (seqBad.isEmpty && quantBad.isEmpty) None
+    else {
+      val kind  = if (seqBad.nonEmpty) "sequential" else "quantitative"
+      val score = if (seqBad.nonEmpty) seqBad.size.toDouble else quantScores.map(_._2).max
+      Some(AnomalyReport(row.windowStart, row.source, row.sessionId, kind,
+                         ids, (seqBad ++ quantBad).distinct.sorted, score,
+                         pool = "", criticality = ""))
+    }
+  }
+
+  test("collapse and detectOne equal their fold and zipWithIndex references") {
+    // runs of equal (templateId, vars), repeats with new values, novel and
+    // unknown ids, in-range and out-of-range values
+    val ids  = models.templates.keys.toSeq ++ Seq(NovelId, 77)
+    val step = for {
+      tid  <- Gen.oneOf(ids)
+      vars <- Gen.oneOf(Seq("n1"), Seq("42"), Seq("43"), Seq("99999"), Seq("42", "x"), Nil)
+      run  <- Gen.frequency(3 -> Gen.const(1), 1 -> Gen.choose(2, 4))
+    } yield Seq.fill(run)(EventRec(ts(0), tid, vars))
+    val rowGen = Gen.choose(0, 8).flatMap(Gen.listOfN(_, step)).map { runs =>
+      SeqRow(ts(0), "jobs", "s", runs.flatten.zipWithIndex.map { case (e, i) => e.copy(ts = ts(i)) })
+    }
+    val prop = Prop.forAllNoShrink(rowGen) { row =>
+      Prop(collapse(row.events) == referenceCollapse(row.events)) :| s"collapse of ${row.events}" &&
+        Prop(detectOne(models, row) == referenceDetectOne(models, row)) :| s"detectOne of ${row.events}"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(500)
+                              .withInitialSeed(Seed(43L)), prop)
+    assert(result.passed, result.status)
+  }
+
   test("detectOne passes a normal sequence") {
     val row = SeqRow(ts(0), "jobs", "s1", Seq(
       EventRec(ts(1), 0, Seq("n1")), EventRec(ts(2), 1, Seq("42"))))
@@ -152,6 +204,25 @@ class MoniLogPipelineSpec extends SparkSpec {
       raws, MoniLog.broadcastModels(spark, models),
       MoniLog.broadcastClassifier(spark, new PoolClassifier())).collect()
     assert(out.map(_.sessionId).toSeq == Seq("bad"))
+  }
+
+  test("the batch pipeline shuffles once, into one partition per core, whatever spark.sql.shuffle.partitions says") {
+    val cores  = spark.sparkContext.defaultParallelism
+    val before = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", cores + 3L)
+    try {
+      val out = MoniLog.detectBatch(spark, Seq(
+        raw(1, "ok", "task started on node n7"),
+        raw(2, "ok", "task finished after 43 ms"),
+        raw(4, "bad", "task finished after 41 ms"),
+        raw(5, "bad", "task started on node n2"),
+      ).toDS(), models)
+      assert(out.collect().map(_.sessionId).toSeq == Seq("bad"))
+      val plan     = out.queryExecution.executedPlan
+      val shuffles = new AdaptiveSparkPlanHelper {}.collect(plan) { case e: ShuffleExchangeExec => e }
+      assert(shuffles.map(_.numPartitions) == Seq(cores), plan.toString)
+      assert(out.rdd.getNumPartitions == cores)
+    } finally spark.conf.set("spark.sql.shuffle.partitions", before)
   }
 
   /** A normal session whose first line is delivered twice, 1 ms apart. */
