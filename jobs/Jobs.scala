@@ -7,18 +7,15 @@ import scala.collection.immutable.ListMap
 
 import org.apache.spark.sql.SparkSession
 
+import repro.core.MoniLog
 import repro.tables._
 
-/** Shared builder for the spark-submit entrypoints. */
+/** Shared helpers for the spark-submit entrypoints. */
 object Jobs {
-  def session(name: String): SparkSession =
-    SparkSession.builder
-      .appName(name)
-      // spark-submit provides spark.master; fall back to local for
-      // direct `sbt jobs/runMain` smoke runs
-      .master(sys.props.getOrElse("spark.master", "local[*]"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+  /** spark-submit provides spark.master; fall back to local for direct
+    * `sbt jobs/runMain` smoke runs.
+    */
+  def master: String = sys.props.getOrElse("spark.master", "local[*]")
 
   def arg(args: Array[String], idx: Int, default: Long): Long =
     if (args.length > idx) args(idx).toLong else default
@@ -58,7 +55,7 @@ object Table {
       throw new IllegalArgumentException(
         s"usage: repro.jobs.Table <${tables.keys.mkString("|")}> [nSessions]; " +
           s"got ${args.headOption.getOrElse("no table name")}"))
-    val spark = Jobs.session(s"monilog-${args(0)}")
+    val spark = MoniLog.session(s"monilog-${args(0)}", Jobs.master)
     // UTF-8 whatever the locale: titles carry an em dash
     val out = new PrintStream(new FileOutputStream(FileDescriptor.out), true, StandardCharsets.UTF_8)
     out.println(render(spark, Jobs.arg(args, 1, default)))

@@ -1,6 +1,7 @@
 package repro.jobs
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths, StandardCopyOption}
+import java.time.Instant
 
 import org.apache.spark.sql.functions._
 
@@ -17,13 +18,17 @@ import repro.stream.MoniLogPipeline.RawLog
   *      JSON (the "log shippers");
   *   3. runs the Structured Streaming pipeline over the file source and
   *      prints classified anomaly reports to the console as the
-  *      watermark closes each window.
+  *      watermark closes each window;
+  *   4. once the spool is read, adds one end-of-input line (source and
+  *      session `flush`) an hour past the spool's last event. It moves the
+  *      watermark past every session still open, so those are reported
+  *      too; only the sentinel's own session stays in state.
   *
   * `spark-submit --class repro.jobs.MoniLogStreamJob repro-jobs.jar [nSessions]`
   */
 object MoniLogStreamJob {
   def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-stream")
+    val spark = MoniLog.session("monilog-stream", Jobs.master)
     import spark.implicits._
 
     val n = Jobs.arg(args, 0, 2000)
@@ -38,12 +43,9 @@ object MoniLogStreamJob {
       .write.json(spool)
     Console.err.println(s"[monilog] spool directory: $spool")
 
-    // The query keeps session-window state per shuffle partition and
-    // commits every partition on every trigger: one partition per core,
-    // not Spark's default of 200.
-    spark.conf.set("spark.sql.shuffle.partitions", spark.sparkContext.defaultParallelism.toLong)
+    val schema = "ts TIMESTAMP, source STRING, sessionId STRING, message STRING"
     val raw = spark.readStream
-      .schema("ts TIMESTAMP, source STRING, sessionId STRING, message STRING")
+      .schema(schema)
       .json(spool)
       .as[RawLog]
 
@@ -60,6 +62,15 @@ object MoniLogStreamJob {
       .outputMode("append")
       .option("truncate", value = false)
       .start()
+    query.processAllAvailable()
+
+    // End of input. The file source skips dot-prefixed names, so the
+    // sentinel is written under one and renamed into view whole.
+    val last = spark.read.schema(schema).json(spool).agg(max($"ts")).head().getTimestamp(0)
+    val line = s"""{"ts":"${Instant.ofEpochMilli(last.getTime + 3600L * 1000L)}",""" +
+      """"source":"flush","sessionId":"flush","message":"flush"}"""
+    val tmp = Files.writeString(Paths.get(spool, ".end-of-input.json"), line + "\n")
+    Files.move(tmp, Paths.get(spool, "end-of-input.json"), StandardCopyOption.ATOMIC_MOVE)
     query.processAllAvailable()
     query.stop()
     spark.stop()

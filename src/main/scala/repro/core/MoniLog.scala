@@ -23,6 +23,27 @@ import repro.stream.MoniLogPipeline.{Models, RawLog}
   */
 object MoniLog {
 
+  /** The one SparkSession recipe: the jobs, the tests and the benchmark
+    * harness all run on a session built here.
+    *
+    * Broadcast joins are off, so the one join in any MoniLog query (the
+    * benchmark's step-by-step training copy) shuffles both sides. Every
+    * shuffle and stream state store that takes its size from
+    * `spark.sql.shuffle.partitions` gets one partition per core: the
+    * session-window state is committed per partition on every trigger, so
+    * its cost grows with the partition count, not with the rows.
+    */
+  def session(appName: String, master: String): SparkSession = {
+    val spark = SparkSession.builder()
+      .appName(appName)
+      .master(master)
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .getOrCreate()
+    // defaultParallelism is known only once the context is up
+    spark.conf.set("spark.sql.shuffle.partitions", spark.sparkContext.defaultParallelism.toLong)
+    spark
+  }
+
   /** The deployed hyper-parameters: every [[train]] uses these values. */
   final case class TrainConfig(
       depth: Int = 4,

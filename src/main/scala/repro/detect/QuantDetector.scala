@@ -9,9 +9,8 @@ import scala.collection.mutable
   * the new value within the range implied by previously seen values";
   * this class implements that check directly with a per-(template,
   * variable-slot) Gaussian model and a z-score threshold. Only
-  * numeric-parsable variable values participate; categorical slots are
-  * modeled as a seen-value set (an unseen category is not anomalous by
-  * itself — pools are open-world).
+  * numeric-parsable variable values participate; a non-numeric value is
+  * neither modeled nor scored.
   *
   * Detection quality depends entirely on the parser having recovered the
   * variable parts — the dependence experiment T6 quantifies via the

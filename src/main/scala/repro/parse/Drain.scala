@@ -19,7 +19,7 @@ import scala.collection.mutable
   * (§IV); `T4ParserBench` sweeps them.
   *
   * Instances are serializable so a trained tree can be broadcast and
-  * applied in executors via [[matchOnly]] (frozen, streaming mode).
+  * applied in executors via [[matchTokens]] (frozen, streaming mode).
   * Frozen matching takes no lock: it reads an immutable index of the tree,
   * built on first use after the last learning step.
   */

@@ -237,7 +237,8 @@ class MoniLogPipelineSpec extends SparkSpec {
   }
 
   /** Reports of the streaming pipeline over `rows`, once a later flush row
-    * has moved the watermark past their sessions; the query must still run.
+    * has moved the watermark past their sessions; the query must still run,
+    * on one state partition per core.
     */
   private def streamed(queryName: String, rows: RawLog*): Seq[AnomalyReport] = {
     implicit val sql = spark.sqlContext
@@ -252,6 +253,8 @@ class MoniLogPipelineSpec extends SparkSpec {
       mem.addData(raw(100, "flush", "task started on node n1"))
       query.processAllAvailable()
       assert(query.isActive && query.exception.isEmpty)
+      assert(query.lastProgress.stateOperators.head.numShufflePartitions ==
+               spark.sparkContext.defaultParallelism)
       spark.table(queryName).as[AnomalyReport].collect().toSeq
     } finally query.stop()
   }
