@@ -50,7 +50,7 @@ class LogClusterDetector extends Serializable {
     var best: Cluster = null
     var bestD         = Double.MaxValue
     clusters.foreach { c =>
-      val d = LinAlg.cosineDistance(c.centroid, x)
+      val d = LogClusterDetector.cosineDistance(c.centroid, x)
       if (d < bestD) { bestD = d; best = c }
     }
     if (best == null) None else Some((best, bestD))
@@ -61,4 +61,17 @@ class LogClusterDetector extends Serializable {
     nearest(weight(x)).map(_._2).getOrElse(Double.MaxValue)
 
   def isAnomaly(x: Array[Double]): Boolean = score(x) > DetectThreshold
+}
+
+object LogClusterDetector {
+
+  /** 1 − cos(a, b). A zero vector is at 0 from another zero vector and
+    * at 1 from any other vector.
+    */
+  private[detect] def cosineDistance(a: Array[Double], b: Array[Double]): Double = {
+    var ab = 0.0; var aa = 0.0; var bb = 0.0; var i = 0
+    while (i < a.length) { ab += a(i) * b(i); aa += a(i) * a(i); bb += b(i) * b(i); i += 1 }
+    if (aa == 0.0 || bb == 0.0) { if (aa == bb) 0.0 else 1.0 }
+    else 1.0 - ab / (math.sqrt(aa) * math.sqrt(bb))
+  }
 }

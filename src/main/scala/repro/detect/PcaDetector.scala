@@ -1,5 +1,9 @@
 package repro.detect
 
+import org.apache.commons.math3.linear.{Array2DRowRealMatrix, EigenDecomposition}
+import org.apache.commons.math3.stat.StatUtils
+import org.apache.commons.math3.stat.correlation.Covariance
+
 /** PCA anomaly detection over event-count vectors (Xu et al., SOSP'09 —
   * the paper's counter-based baseline [16]).
   *
@@ -24,17 +28,21 @@ class PcaDetector extends Serializable {
   private var dim: Int                        = _
 
   def fit(train: Array[Array[Double]]): this.type = {
-    require(train.nonEmpty, "PCA needs training vectors")
-    dim   = train.head.length
-    means = LinAlg.colMeans(train)
-    val (evals, evecs) = LinAlg.symmetricEigen(LinAlg.covariance(train, means))
+    require(train.length >= 2, "PCA needs at least two training vectors")
+    val m = new Array2DRowRealMatrix(train, false)
+    dim   = m.getColumnDimension
+    means = Array.tabulate(dim)(j => StatUtils.mean(m.getColumn(j)))
+    // eigenvalues of a symmetric matrix come sorted in descending order
+    val eig   = new EigenDecomposition(new Covariance(m).getCovarianceMatrix)
+    val evals = eig.getRealEigenvalues
     val total = math.max(evals.map(math.max(_, 0.0)).sum, 1e-12)
     var k = 0; var acc = 0.0
     while (k < evals.length && acc / total < VarianceFraction) {
       acc += math.max(evals(k), 0.0); k += 1
     }
     // residual space = components k..d-1
-    residual = Array.tabulate(dim, dim - k)((i, j) => evecs(i)(k + j))
+    val v = eig.getV
+    residual = Array.tabulate(dim, dim - k)((i, j) => v.getEntry(i, k + j))
     val spes = train.map(spe).sorted
     val idx  = math.min(spes.length - 1, (ThresholdQuantile * spes.length).toInt)
     threshold = math.max(spes(idx) * ThresholdMargin, 1e-9)

@@ -57,8 +57,11 @@ object T7Classifier {
   def run(spark: SparkSession, nSessions: Long, holdout: Int = 200,
           seed: Long = 42L): Seq[Row] = {
     val rs = reports(spark, nSessions, seed)
-    require(rs.size > holdout + FeedbackSteps.max,
-            s"not enough anomaly reports (${rs.size}) — raise nSessions")
+    val need = holdout + FeedbackSteps.max
+    require(rs.size > need,
+            s"T7 needs more than $need anomaly reports (holdout $holdout + ${FeedbackSteps.max} " +
+              s"feedback actions), found ${rs.size} at nSessions $nSessions; " +
+              s"try nSessions ${math.ceil(nSessions.toDouble * (need + 1) / math.max(rs.size, 1)).toLong}")
     val (feed, test) = rs.splitAt(rs.size - holdout)
     FeedbackSteps.map { k =>
       val clf = new PoolClassifier()

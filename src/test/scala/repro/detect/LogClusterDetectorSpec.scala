@@ -47,4 +47,12 @@ class LogClusterDetectorSpec extends AnyFunSuite {
     assert(lc.numClusters == 1)
     assert(lc.score(Array(10.5, 10.0)) < 0.01)
   }
+
+  test("cosineDistance extremes") {
+    def approx(a: Double, b: Double) = assert(math.abs(a - b) < 1e-6, s"$a vs $b")
+    approx(LogClusterDetector.cosineDistance(Array(1.0, 0.0), Array(2.0, 0.0)), 0.0)
+    approx(LogClusterDetector.cosineDistance(Array(1.0, 0.0), Array(0.0, 1.0)), 1.0)
+    approx(LogClusterDetector.cosineDistance(Array(0.0, 0.0), Array(0.0, 0.0)), 0.0)
+    approx(LogClusterDetector.cosineDistance(Array(0.0, 0.0), Array(1.0, 0.0)), 1.0)
+  }
 }

@@ -32,7 +32,7 @@ class PcaDetectorSpec extends AnyFunSuite {
     val rng = new Random(3)
     val rows = normalRows(300, rng)
     val pca = new PcaDetector().fit(rows)
-    val mean = LinAlg.colMeans(rows)
+    val mean = Array.tabulate(3)(j => rows.map(_(j)).sum / rows.length)
     assert(pca.spe(mean) < pca.fittedThreshold)
   }
 
@@ -51,6 +51,23 @@ class PcaDetectorSpec extends AnyFunSuite {
 
   test("fit requires data") {
     intercept[IllegalArgumentException](new PcaDetector().fit(Array.empty))
+    // a sample covariance needs two rows
+    intercept[IllegalArgumentException](new PcaDetector().fit(Array(Array(1.0, 2.0))))
+  }
+
+  test("rank-deficient counts: a constant and a proportional column") {
+    // HDFS-shaped: a fixed step always counts 1 and one step always runs
+    // twice per run of another, so two covariance eigenvalues are exactly 0
+    def row(rng: Random) = {
+      val runs = 1.0 + rng.nextInt(4)
+      Array(runs, 2 * runs, 1.0, rng.nextInt(3).toDouble)
+    }
+    val rng = new Random(6)
+    val pca = new PcaDetector().fit(Array.fill(500)(row(rng)))
+    val fresh = Array.fill(200)(row(rng))
+    assert(!fresh.exists(pca.isAnomaly), fresh.filter(pca.isAnomaly).map(_.mkString(",")).mkString(" "))
+    assert(pca.isAnomaly(Array(2.0, 5.0, 1.0, 1.0))) // breaks the multiple
+    assert(pca.isAnomaly(Array(2.0, 4.0, 2.0, 1.0))) // breaks the constant
   }
 
   test("threshold is positive") {

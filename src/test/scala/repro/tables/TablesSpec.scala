@@ -132,6 +132,12 @@ class TablesSpec extends SparkSpec {
     assertGolden("T7", T7Classifier.render(rows))
   }
 
+  test("T7: too few anomaly reports name the reports needed and a larger nSessions") {
+    val e = intercept[IllegalArgumentException](T7Classifier.run(spark, nSessions = 2000))
+    assert(e.getMessage == "requirement failed: T7 needs more than 400 anomaly " +
+      "reports (holdout 200 + 200 feedback actions), found 76 at nSessions 2000; try nSessions 10553")
+  }
+
   test("T8: smoke run produces positive throughput rows") {
     val rows = T8Scalability.run(spark, nSessions = 500, seed = 10L)
     assert(rows.size == 5)
