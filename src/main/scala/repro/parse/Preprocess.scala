@@ -64,12 +64,6 @@ object Preprocess {
     else (message.trim, None)
   }
 
-  private val JsonPair = """"([^"]+)"\s*:\s*"?([^,}"]*)"?""".r
-
-  /** Shallow key→value extraction from a flat JSON payload. */
-  def parsePayload(payload: String): Seq[(String, String)] =
-    JsonPair.findAllMatchIn(payload).map(m => (m.group(1), m.group(2).trim)).toSeq
-
   /** Does the token look like a variable? Used for Drain's digit-aware
     * tree descent and by the semantic matcher. One scan,
     * equal to: after one trailing `,` is stripped, the token holds a digit

@@ -4,9 +4,9 @@ import java.sql.Timestamp
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Dataset, Encoder, Encoders}
-import org.apache.spark.sql.catalyst.util.IntervalUtils
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.streaming.StreamingQuery
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode, StreamingQuery}
 import org.apache.spark.unsafe.types.UTF8String
 
 import repro.classify.PoolClassifier
@@ -18,9 +18,9 @@ import repro.parse.{Drain, Preprocess, TemplateOps}
   *   multi-source raw stream
   *     → (1) parsing: frozen Drain + semantic matcher for novel templates
   *     → (2) sequence structuring: per-(source, sessionId) sequences cut
-  *           at silences longer than the session gap — for batch input one
-  *           shuffle, a sort and a linear gap cut; for streaming input a
-  *           watermarked `session_window` aggregation
+  *           at silences longer than the session gap by one per-key cut,
+  *           run after one shuffle for batch input and when the key's
+  *           event-time timer fires for streaming input
   *     → (2') detection: sequential (n-gram top-g) + quantitative (value
   *            model) over each duplicate-collapsed sequence → anomaly reports
   *     → (3) classification: pool + criticality from the feedback-trained
@@ -86,8 +86,11 @@ object MoniLogPipeline {
   // `spark.implicits` would; lazy, so executors that only run the
   // closures never derive them.
   private implicit lazy val parsedEventEncoder: Encoder[ParsedEvent]     = Encoders.product
+  private implicit lazy val eventRecEncoder: Encoder[EventRec]           = Encoders.product
   private implicit lazy val seqRowEncoder: Encoder[SeqRow]               = Encoders.product
   private implicit lazy val anomalyReportEncoder: Encoder[AnomalyReport] = Encoders.product
+  private implicit lazy val keyEncoder: Encoder[(String, String)]        = ExpressionEncoder()
+  private implicit lazy val heldEncoder: Encoder[Seq[EventRec]]          = ExpressionEncoder()
 
   // ----------------------------------------------------------------
   // step 1 — parsing
@@ -121,87 +124,88 @@ object MoniLogPipeline {
   // step 2 — sequence structuring (gap-cut sessions)
   // ----------------------------------------------------------------
 
-  /** Silence that closes a session: two events of one (source, sessionId)
-    * at most this far apart share a sequence.
-    */
-  val SessionGap = "5 seconds"
+  /** Silence that closes a session, in µs (Spark's timestamp resolution). */
+  val SessionGapMicros: Long = 5000000L
 
   /** How late an event may arrive before the streaming query drops it. */
   val Watermark = "5 seconds"
 
-  /** [[SessionGap]] in microseconds, Spark's timestamp resolution. */
-  private val SessionGapMicros: Long =
-    IntervalUtils.stringToInterval(UTF8String.fromString(SessionGap)).microseconds
-
   /** Per-(source, sessionId) sequences, events ordered by (ts, templateId,
-    * vars), cut wherever two consecutive events are more than [[SessionGap]]
+    * vars), cut wherever two consecutive events are more than the gap
     * apart. Gap-based sessions rather than tumbling windows, so an
     * execution flow is never cut at an arbitrary boundary — the structuring
     * MoniLog's detection step needs. `windowStart` is the first event's ts;
     * events without a ts are dropped.
     *
-    * Batch input takes one shuffle on the key into one partition per core
-    * (`defaultParallelism`, whatever `spark.sql.shuffle.partitions` says),
-    * a sort within each partition and a linear gap cut. Streaming input
-    * takes a watermarked `session_window` aggregation, whose state store
-    * holds open sessions across micro-batches; append mode emits a sequence
-    * once the watermark passes its close. Both give the same rows.
+    * Both kinds of input group by (source, sessionId) and pass each key's
+    * events to one [[cut]], read as `EventRec`s so that the key's strings
+    * are decoded once per key. Batch input is cut after one shuffle on the
+    * key into one partition per core (`defaultParallelism`, whatever
+    * `spark.sql.shuffle.partitions` says). Streaming input holds each key's
+    * events in state until the watermark passes an event-time timer at the
+    * newest event + the gap, after which no later event can join them.
     */
-  def sequence(parsed: Dataset[ParsedEvent]): Dataset[SeqRow] =
+  def sequence(parsed: Dataset[ParsedEvent]): Dataset[SeqRow] = {
+    val timed = parsed.filter(col("ts").isNotNull)
     if (parsed.isStreaming)
-      parsed.withWatermark("ts", Watermark)
-        .groupBy(session_window(col("ts"), SessionGap) as "w", col("source"), col("sessionId"))
-        .agg(sort_array(collect_list(struct(
-          col("ts") as "ts", col("templateId") as "templateId", col("vars") as "vars"
-        ))) as "events")
-        .select(
-          col("w.start") as "windowStart",
-          col("source"), col("sessionId"), col("events"),
-        )
-        .as[SeqRow]
+      timed.withWatermark("ts", Watermark)
+        .groupBy(col("source"), col("sessionId")).as[(String, String), EventRec]
+        .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.EventTimeTimeout) {
+          (key, evs, state: GroupState[Seq[EventRec]]) =>
+            val held = state.getOption.getOrElse(Vector.empty) ++ evs
+            if (state.hasTimedOut) { state.remove(); cut(key, held) }
+            else {
+              state.update(held)
+              state.setTimeoutTimestamp(held.map(_.ts.getTime).max + SessionGapMicros / 1000)
+              Iterator.empty
+            }
+        }
     else
-      parsed.filter(col("ts").isNotNull)
-        .repartition(parsed.sparkSession.sparkContext.defaultParallelism,
-                     col("source"), col("sessionId"))
-        .sortWithinPartitions(col("source"), col("sessionId"), col("ts"),
-                              col("templateId"), col("vars"))
-        .mapPartitions(cutSessions)
+      timed.repartition(parsed.sparkSession.sparkContext.defaultParallelism,
+                        col("source"), col("sessionId"))
+        .groupBy(col("source"), col("sessionId")).as[(String, String), EventRec]
+        .flatMapGroups((key, evs) => cut(key, evs.toVector))
+  }
 
-  /** Cut events sorted by (source, sessionId, ts, …) into sequences. */
-  private def cutSessions(sorted: Iterator[ParsedEvent]): Iterator[SeqRow] = new Iterator[SeqRow] {
-    private val in = sorted.buffered
-    def hasNext: Boolean = in.hasNext
-    def next(): SeqRow = {
-      val first  = in.next()
-      val events = Vector.newBuilder[EventRec]
-      events += EventRec(first.ts, first.templateId, first.vars)
-      var last = micros(first.ts)
-      while (in.hasNext && in.head.source == first.source && in.head.sessionId == first.sessionId
-             && micros(in.head.ts) - last <= SessionGapMicros) {
-        val e = in.next()
-        events += EventRec(e.ts, e.templateId, e.vars)
-        last = micros(e.ts)
-      }
-      SeqRow(first.ts, first.source, first.sessionId, events.result())
+  /** One key's events in [[EventOrder]], split wherever two consecutive
+    * events are more than [[SessionGapMicros]] apart.
+    */
+  private def cut(key: (String, String), events: Seq[EventRec]): Iterator[SeqRow] = {
+    val sorted = events.sorted(EventOrder).toVector
+    val starts = 0 +: (1 until sorted.size).filter(i =>
+      micros(sorted(i).ts) - micros(sorted(i - 1).ts) > SessionGapMicros)
+    starts.lazyZip(starts.tail :+ sorted.size).iterator.map { case (a, b) =>
+      SeqRow(sorted(a).ts, key._1, key._2, sorted.slice(a, b))
     }
   }
 
-  private def micros(ts: Timestamp): Long =
-    Math.floorDiv(ts.getTime, 1000L) * 1000000L + ts.getNanos / 1000
+  /** `sort_array`'s order of `struct(ts, templateId, vars)`: strings by
+    * UTF-8 bytes (code points, not UTF-16 units), arrays then by length.
+    */
+  private val EventOrder: Ordering[EventRec] =
+    Ordering.by((e: EventRec) => (micros(e.ts), e.templateId))
+      .orElseBy(_.vars.map(UTF8String.fromString))(Ordering.Implicits.seqOrdering)
+
+  private def micros(ts: Timestamp): Long = Math.floorDiv(ts.getTime, 1000L) * 1000000L + ts.getNanos / 1000
 
   // ----------------------------------------------------------------
   // step 2' — detection
   // ----------------------------------------------------------------
 
+  private val RedeliveryMicros = 1000L
+
   /** Drop every event whose (templateId, vars) equals the previous kept
-    * event's: a line delivered twice (the duplicated delivery of §I) is one
-    * step of its flow. Repeats whose values differ stay.
+    * event's and that comes at most [[RedeliveryMicros]] after it: a line
+    * delivered twice (§I), its copy 1 ms later, is one step of its flow.
+    * Repeats with other values or later stay (genuine lines of one flow are
+    * at least 10 ms apart, 2 ms under `Instability`'s ±4 ms arrival jitter).
     */
   def collapse(events: Seq[EventRec]): Seq[EventRec] = {
     val kept = Vector.newBuilder[EventRec]
     var last: EventRec = null
     events.foreach { e =>
-      if (last == null || last.templateId != e.templateId || last.vars != e.vars) {
+      if (last == null || last.templateId != e.templateId || last.vars != e.vars
+          || micros(e.ts) - micros(last.ts) > RedeliveryMicros) {
         kept += e
         last = e
       }

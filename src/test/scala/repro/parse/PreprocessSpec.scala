@@ -100,11 +100,6 @@ class PreprocessSpec extends AnyFunSuite {
     assert(payload.isEmpty)
   }
 
-  test("parsePayload extracts flat key/value pairs in order") {
-    val pairs = Preprocess.parsePayload("""{"a": "x", "b": "y-2", "c": "3"}""")
-    assert(pairs == Seq("a" -> "x", "b" -> "y-2", "c" -> "3"))
-  }
-
   test("looksVariable accepts numbers, IPs and ids") {
     assert(Preprocess.looksVariable("42"))
     assert(Preprocess.looksVariable("3.14"))

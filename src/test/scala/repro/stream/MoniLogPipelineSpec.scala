@@ -37,7 +37,9 @@ class MoniLogPipelineSpec extends SparkSpec {
            ngram, quant, drain.templates)
   }
 
-  private def ts(sec: Int) = new Timestamp(1700000000000L + sec * 1000L)
+  private def ts(sec: Int) = ms(sec * 1000L)
+
+  private def ms(ms: Long) = new Timestamp(1700000000000L + ms)
 
   private def raw(sec: Int, session: String, msg: String) =
     RawLog(ts(sec), "jobs", session, msg)
@@ -84,18 +86,25 @@ class MoniLogPipelineSpec extends SparkSpec {
 
   test("collapse drops an event equal to the previous kept one and keeps repeats with new values") {
     val repeats = Seq(EventRec(ts(1), 1, Seq("41")), EventRec(ts(2), 1, Seq("42")),
-                      EventRec(ts(3), 1, Seq("42")), EventRec(ts(4), 1, Seq("41")))
+                      EventRec(ms(2001), 1, Seq("42")), EventRec(ts(4), 1, Seq("41")))
     assert(collapse(repeats) == Seq(repeats(0), repeats(1), repeats(3)))
+    // a redelivered copy comes 1 ms after its line; a genuine repeat 10 ms after stays
+    val genuine = Seq(EventRec(ms(0), 1, Seq("42")), EventRec(ms(10), 1, Seq("42")),
+                      EventRec(ms(11), 1, Seq("42")))
+    assert(collapse(genuine) == genuine.take(2))
     // a run of three equal events keeps one; an empty sequence stays empty
     val runs = Seq(1, 1, 2, 2, 2, 3, 1).map(t => EventRec(ts(0), t, Nil))
     assert(collapse(runs).map(_.templateId) == Seq(1, 2, 3, 1))
     assert(collapse(Nil).isEmpty)
   }
 
-  /** `collapse` as a fold over an appended Vector, before the builder pass. */
+  /** `collapse` as a fold over an appended Vector, before the builder pass;
+    * a copy at most 1 ms after the previous kept event is a redelivery.
+    */
   private def referenceCollapse(events: Seq[EventRec]): Seq[EventRec] =
     events.foldLeft(Vector.empty[EventRec]) { (kept, e) =>
-      if (kept.lastOption.exists(p => p.templateId == e.templateId && p.vars == e.vars)) kept
+      if (kept.lastOption.exists(p => p.templateId == e.templateId && p.vars == e.vars &&
+                                      e.ts.getTime - p.ts.getTime <= 1)) kept
       else kept :+ e
     }
 
@@ -120,16 +129,19 @@ class MoniLogPipelineSpec extends SparkSpec {
   }
 
   test("collapse and detectOne equal their fold and zipWithIndex references") {
-    // runs of equal (templateId, vars), repeats with new values, novel and
-    // unknown ids, in-range and out-of-range values
+    // runs of equal (templateId, vars) 1, 3, 10 or 1000 ms apart, repeats
+    // with new values, novel and unknown ids, in-range and out-of-range values
     val ids  = models.templates.keys.toSeq ++ Seq(NovelId, 77)
     val step = for {
       tid  <- Gen.oneOf(ids)
       vars <- Gen.oneOf(Seq("n1"), Seq("42"), Seq("43"), Seq("99999"), Seq("42", "x"), Nil)
       run  <- Gen.frequency(3 -> Gen.const(1), 1 -> Gen.choose(2, 4))
-    } yield Seq.fill(run)(EventRec(ts(0), tid, vars))
+      gaps <- Gen.listOfN(run, Gen.oneOf(1L, 3L, 10L, 1000L))
+    } yield gaps.map(gap => (gap, EventRec(ts(0), tid, vars)))
     val rowGen = Gen.choose(0, 8).flatMap(Gen.listOfN(_, step)).map { runs =>
-      SeqRow(ts(0), "jobs", "s", runs.flatten.zipWithIndex.map { case (e, i) => e.copy(ts = ts(i)) })
+      val steps = runs.flatten
+      val at    = steps.scanLeft(0L)(_ + _._1).tail
+      SeqRow(ts(0), "jobs", "s", steps.lazyZip(at).map { case ((_, e), t) => e.copy(ts = ms(t)) })
     }
     val prop = Prop.forAllNoShrink(rowGen) { row =>
       Prop(collapse(row.events) == referenceCollapse(row.events)) :| s"collapse of ${row.events}" &&

@@ -3,6 +3,9 @@ package repro.stream
 import java.sql.Timestamp
 
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
+import org.apache.spark.sql.functions.{col, collect_list, sort_array, struct}
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 
 import repro.{Oracle, SparkSpec}
 import repro.logs.{Instability, LogSynth}
@@ -10,9 +13,12 @@ import repro.stream.MoniLogPipeline._
 
 /** Sequence structuring (MoniLog step 2) in isolation.
   *
-  * Every case runs `sequence` twice: over a batch Dataset, and over a
+  * Both paths hand each (source, sessionId)'s events to one cut: the batch
+  * path after a shuffle, the streaming path when the key's event-time timer
+  * fires. Most cases run `sequence` twice: over a batch Dataset, and over a
   * `MemoryStream` into a memory sink, closed by a flush row an hour later.
-  * The two paths must give the same rows.
+  * The two paths must give the same rows, also when the stream arrives in
+  * several micro-batches, so that a key's state spans triggers.
   */
 class SequenceWindowSpec extends SparkSpec {
 
@@ -27,14 +33,18 @@ class SequenceWindowSpec extends SparkSpec {
 
   /** `sequence` of `events` on both paths, which must agree; in canonical order. */
   private def sequences(events: Seq[ParsedEvent]): Seq[SeqRow] = {
-    val batch = canonical(MoniLogPipeline.sequence(events.toDS()).collect().toSeq)
+    val batch = batched(events)
     assert(streamed(events) == batch, "the streaming path disagrees with the batch path")
     batch
   }
 
+  private def batched(events: Seq[ParsedEvent]): Seq[SeqRow] =
+    canonical(MoniLogPipeline.sequence(events.toDS()).collect().toSeq)
+
   private var queries = 0
 
-  private def streamed(events: Seq[ParsedEvent]): Seq[SeqRow] = {
+  /** `sequence` over a `MemoryStream` fed `batches`, one micro-batch each. */
+  private def streamed(batches: Seq[ParsedEvent]*): Seq[SeqRow] = {
     implicit val sql = spark.sqlContext
     val mem   = MemoryStream[ParsedEvent]
     queries += 1
@@ -42,10 +52,12 @@ class SequenceWindowSpec extends SparkSpec {
     val query = MoniLogPipeline.sequence(mem.toDS()).writeStream
       .format("memory").queryName(name).outputMode("append").start()
     try {
-      mem.addData(events)
-      query.processAllAvailable()
+      batches.foreach { events =>
+        mem.addData(events)
+        query.processAllAvailable()
+      }
       // an event an hour past the last one moves the watermark past every session
-      val last = events.flatMap(e => Option(e.ts)).map(_.getTime).maxOption.getOrElse(Base)
+      val last = batches.flatten.flatMap(e => Option(e.ts)).map(_.getTime).maxOption.getOrElse(Base)
       mem.addData(ParsedEvent(new Timestamp(last + 3600000L), "flush", "flush", 0,
                               matchedExact = true, Nil))
       query.processAllAvailable()
@@ -71,7 +83,7 @@ class SequenceWindowSpec extends SparkSpec {
   }
 
   test("events exactly SessionGap apart stay one sequence, 1 ms more splits them") {
-    assert(SessionGap == "5 seconds")
+    assert(SessionGapMicros == 5000000L)
     val touching = sequences(Seq(evMs(0L, "s", 0), evMs(5000L, "s", 1)))
     assert(touching.map(_.events.size) == Seq(2))
     val apart = sequences(Seq(evMs(0L, "s", 0), evMs(5001L, "s", 1)))
@@ -103,6 +115,54 @@ class SequenceWindowSpec extends SparkSpec {
                              at(1, Seq("a")), ev(0, "s", 9)))
     assert(rows.map(_.events.map(e => (e.templateId, e.vars))) == Seq(Seq(
       (9, Nil), (1, Seq("a")), (1, Seq("a", "z")), (1, Seq("b")), (2, Seq("a")))))
+  }
+
+  test("vars are ordered as sort_array orders struct(ts, templateId, vars): by code point, not UTF-16 unit") {
+    // U+E000 is one UTF-16 unit above the surrogates that encode U+1F600,
+    // but its UTF-8 bytes (EE…) sort before U+1F600's (F0…)
+    val at = (vars: Seq[String]) => ev(1, "s", 1).copy(vars = vars)
+    val events = Seq(at(Seq("\uD83D\uDE00")), at(Seq("\uE000")), at(Seq("a\uD800\uDC00", "x")),
+                     at(Seq("a\uFFFF")), at(Seq("a\uFFFF", "b")))
+    val sparkOrder = events.toDS().groupBy()
+      .agg(sort_array(collect_list(struct(col("ts"), col("templateId"), col("vars")))) as "events")
+      .select(col("events.vars")).as[Seq[Seq[String]]].head()
+    assert(sequences(events).map(_.events.map(_.vars)) == Seq(sparkOrder))
+    assert(sparkOrder.map(_.head) == Seq("a\uFFFF", "a\uFFFF", "a\uD800\uDC00", "\uE000", "\uD83D\uDE00"))
+  }
+
+  test("an event older than the watermark is in no emitted sequence") {
+    val onTime = Seq(ev(100, "s", 0), ev(101, "s", 1), ev(100, "t", 2))
+    // after the first micro-batch the watermark is 101 s − 5 s; these are older
+    val late = Seq(ev(2, "s", 7), ev(1, "late", 8))
+    assert(streamed(onTime, late) == batched(onTime))
+  }
+
+  test("micro-batches fed in ts order give the batch path's sequences (ScalaCheck)") {
+    // mostly short gaps over three keys, so a session often outlives a
+    // micro-batch and the watermark; some at and above SessionGap
+    val gapMs  = Gen.frequency(6 -> Gen.oneOf(0L, 1L, 500L, 1000L, 1500L),
+                               2 -> Gen.oneOf(4999L, 5000L, 5001L), 1 -> Gen.const(30000L))
+    val events = for {
+      n    <- Gen.choose(1, 40)
+      gaps <- Gen.listOfN(n, gapMs)
+      keys <- Gen.listOfN(n, Gen.oneOf(("a", "s1"), ("a", "s2"), ("b", "s1")))
+      tids <- Gen.listOfN(n, Gen.choose(0, 3))
+      vars <- Gen.listOfN(n, Gen.oneOf(Seq("x"), Seq("y"), Nil))
+    } yield gaps.scanLeft(0L)(_ + _).tail.lazyZip(keys).lazyZip(tids.zip(vars)).map {
+      case (ms, (src, sid), (tid, vs)) =>
+        evMs(ms, sid, tid).copy(source = src, vars = vs)
+    }
+    val cases = for {
+      evs  <- events
+      k    <- Gen.choose(0, 4)
+      cuts <- Gen.listOfN(k, Gen.choose(0, evs.size)).map(c => (0 +: c.sorted :+ evs.size).distinct)
+    } yield cuts.sliding(2).collect { case Seq(a, b) => evs.slice(a, b) }.toSeq
+    val prop = Prop.forAllNoShrink(cases) { batches =>
+      Prop(streamed(batches: _*) == batched(batches.flatten)) :| s"micro-batches $batches"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(12)
+                              .withInitialSeed(Seed(14L)), prop)
+    assert(result.passed, result.status)
   }
 
   test("events without a timestamp are dropped") {
