@@ -19,8 +19,9 @@ import repro.stream.MoniLogPipeline.RawLog
   *      JSON (the "log shippers"), a temporary directory the job deletes
   *      when it ends, also on failure;
   *   3. runs the Structured Streaming pipeline over the file source and
-  *      prints classified anomaly reports to the console as the
-  *      watermark closes each window;
+  *      prints classified anomaly reports to the console as each
+  *      session's event-time timer fires (the watermark passes its newest
+  *      event plus the session gap);
   *   4. once the spool is read, adds one end-of-input line (source and
   *      session `flush`) an hour past the spool's last event. It moves the
   *      watermark past every session still open, so those are reported

@@ -30,8 +30,9 @@ object MoniLog {
     * benchmark's step-by-step training copy) shuffles both sides. Every
     * shuffle and stream state store that takes its size from
     * `spark.sql.shuffle.partitions` gets one partition per core: the
-    * session-window state is committed per partition on every trigger, so
-    * its cost grows with the partition count, not with the rows.
+    * streaming sessions' `flatMapGroupsWithState` state is committed per
+    * partition on every trigger, so its cost grows with the partition
+    * count, not with the rows.
     */
   def session(appName: String, master: String): SparkSession = {
     val spark = SparkSession.builder()
@@ -78,13 +79,11 @@ object MoniLog {
     // similar); the history is re-parsed below, so lines get frozen ids.
     val frozen = new Drain(cfg.depth, cfg.simThreshold)
     mined.templates.toSeq.sortBy(_._1).foreach { case (_, toks) => frozen.parseTokens(toks) }
-    val templates = frozen.templates
     val base = Models(
       parser = frozen,
-      matcher = new SemanticMatcher(templates.view.mapValues(_.toSeq).toMap),
+      matcher = new SemanticMatcher(frozen.templates),
       sequential = new NGramModel(cfg.ngramOrder, cfg.topG),
       quantitative = new QuantDetector(cfg.zThreshold),
-      templates = templates,
     )
 
     // 3. structure the history exactly as serving does

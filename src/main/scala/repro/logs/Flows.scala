@@ -177,12 +177,9 @@ object Flows {
     i == seq.length
   }
 
-  def flowFor(source: String): SourceFlow = source match {
-    case "network" => networkFlow
-    case "storage" => storageFlow
-    case "compute" => computeFlow
-    case "auth"    => authFlow
-    case "hdfs"    => hdfsFlow
-    case other     => throw new IllegalArgumentException(s"unknown source: $other")
-  }
+  private val flowsBySource: Map[String, SourceFlow] =
+    (cloudFlows :+ hdfsFlow).map(f => f.source -> f).toMap
+
+  def flowFor(source: String): SourceFlow =
+    flowsBySource.getOrElse(source, throw new IllegalArgumentException(s"unknown source: $source"))
 }

@@ -4,10 +4,10 @@ import java.sql.Timestamp
 
 /** Data model for the synthetic multi-source log corpus.
   *
-  * Every generated line carries its ground truth (template id, template
-  * string, variable values, anomaly/instability labels) so parsers and
-  * detectors can be scored without manual labeling — the synthetic
-  * stand-in for the labeled production data the paper had access to.
+  * Every generated line carries its ground truth (template id, variable
+  * values, anomaly/instability labels; template text via [[Flows]]) so
+  * parsers and detectors can be scored without manual labeling — the
+  * synthetic stand-in for the labeled production data the paper had.
   */
 object LogModel {
 
@@ -23,12 +23,9 @@ object LogModel {
     * @param source       producing subsystem ("network", "storage", …)
     * @param sessionId    execution-flow instance the line belongs to
     * @param seqIndex     position of the line within its session
-    * @param level        syslog-ish level from the HEADER ("INFO", "ERROR")
     * @param message      the free-text MESSAGE field (payload included)
     * @param templateId   ground-truth template id (stable across instability)
-    * @param template     ground-truth core template string, variables as `<*>`
-    * @param templateWithPayload expected masked tokens for the full message
-    *                     as emitted (core + JSON payload when present)
+    * @param hasPayload   true iff the message carries its template's JSON payload
     * @param variables    ground-truth variable values in order of appearance
     * @param anomalous    true iff THIS line is the injected anomalous event
     * @param sessionLabel session-level label: normal | sequential | quantitative
@@ -40,16 +37,21 @@ object LogModel {
       source: String,
       sessionId: String,
       seqIndex: Int,
-      level: String,
       message: String,
       templateId: Int,
-      template: String,
-      templateWithPayload: String,
+      hasPayload: Boolean,
       variables: Seq[String],
       anomalous: Boolean,
       sessionLabel: String,
       unstable: Boolean,
-  )
+  ) {
+    /** Ground-truth core template string, variables as `<*>`. */
+    def template: String = Flows.allTemplates(templateId).templateString
+
+    /** Expected masked tokens for the full message as emitted. */
+    def templateWithPayload: String =
+      if (hasPayload) Flows.allTemplates(templateId).templateWithPayload else template
+  }
 
   /** A token slot inside a template definition. */
   sealed trait Tok extends Serializable
@@ -78,6 +80,13 @@ object LogModel {
       case Static(s) => s
       case _         => "<*>"
     }.mkString(" ")
+
+    /** [[templateString]] plus the masked JSON payload a line may append:
+      * after space-tokenization, key tokens are static, value tokens `<*>`.
+      */
+    val templateWithPayload: String =
+      if (payloadKeys.isEmpty) templateString
+      else payloadKeys.map(k => s""""$k": <*>""").mkString(s"$templateString {", ", ", "}")
 
     /** Number of variable slots. */
     val arity: Int = toks.count(!_.isInstanceOf[Static])

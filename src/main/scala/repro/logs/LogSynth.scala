@@ -91,12 +91,15 @@ object LogSynth {
     // (templateIds, index of the injected anomalous line or -1). Mutations
     // are retried until the result could NOT have come from the normal
     // flow — otherwise the "anomaly" would be undetectable by definition
-    // (e.g. swapping two identical repeat events).
+    // (e.g. swapping two identical repeat events). Injecting an
+    // error-branch template is the one mutation that always deviates.
+    def injectError(): (Vector[Int], Int) = {
+      val pos = 1 + rng.nextInt(normalSeq.size - 1)
+      val err = flow.errorTemplateIds(rng.nextInt(flow.errorTemplateIds.size))
+      (normalSeq.patch(pos, Vector(err), 0), pos)
+    }
     def mutate(): (Vector[Int], Int) = rng.nextInt(4) match {
-      case 0 => // inject an error-branch template
-        val pos = 1 + rng.nextInt(normalSeq.size - 1)
-        val err = flow.errorTemplateIds(rng.nextInt(flow.errorTemplateIds.size))
-        (normalSeq.patch(pos, Vector(err), 0), pos)
+      case 0 => injectError()
       case 1 => // drop a required event
         val pos = rng.nextInt(normalSeq.size - 1)
         (normalSeq.patch(pos, Nil, 1), math.min(pos, normalSeq.size - 2))
@@ -109,14 +112,9 @@ object LogSynth {
     }
     val (tids, seqAnomIdx): (Vector[Int], Int) = label match {
       case Sequential =>
-        val deviating = Iterator.continually(mutate()).take(12)
+        Iterator.continually(mutate()).take(12)
           .find { case (s, _) => !Flows.isValidFlow(source, s) }
-        deviating.getOrElse {
-          // error injection always deviates — guaranteed fallback
-          val pos = 1 + rng.nextInt(normalSeq.size - 1)
-          val err = flow.errorTemplateIds(rng.nextInt(flow.errorTemplateIds.size))
-          (normalSeq.patch(pos, Vector(err), 0), pos)
-        }
+          .getOrElse(injectError())
       case _ => (normalSeq, -1)
     }
 
@@ -137,25 +135,16 @@ object LogSynth {
       val td = Flows.allTemplates(tid)
       val quantHere = i == quantIdx
       val (coreMsg, vars) = instantiate(td, rng, quantHere)
-      val wantPayload = td.payloadKeys.nonEmpty && rng.nextDouble() < c.payloadProb
-      val (msg, fullTemplate) =
-        if (!wantPayload) (coreMsg, td.templateString)
-        else {
-          val payload = renderPayload(td.payloadKeys, rng)
-          (s"$coreMsg $payload",
-           s"${td.templateString} ${payloadTemplate(td.payloadKeys)}")
-        }
+      val hasPayload = td.payloadKeys.nonEmpty && rng.nextDouble() < c.payloadProb
       LogLine(
         lineId = sessionId * LineIdStride + i,
         ts = new Timestamp(ts),
         source = source,
         sessionId = s"$source-$sessionId",
         seqIndex = i,
-        level = td.level,
-        message = msg,
+        message = if (hasPayload) s"$coreMsg ${renderPayload(td.payloadKeys, rng)}" else coreMsg,
         templateId = tid,
-        template = td.templateString,
-        templateWithPayload = fullTemplate,
+        hasPayload = hasPayload,
         variables = vars,
         anomalous = quantHere || i == seqAnomIdx,
         sessionLabel = effLabel,
@@ -186,10 +175,4 @@ object LogSynth {
   /** Render a flat JSON payload, fixed key order, random short values. */
   def renderPayload(keys: Seq[String], rng: Random): String =
     keys.map(k => s""""$k": "${k.take(3)}-${rng.nextInt(500)}"""").mkString("{", ", ", "}")
-
-  /** The masked ground-truth tokens the payload contributes: after
-    * space-tokenization, key tokens are static, value tokens variable.
-    */
-  def payloadTemplate(keys: Seq[String]): String =
-    keys.map(k => s""""$k": <*>""").mkString("{", ", ", "}")
 }

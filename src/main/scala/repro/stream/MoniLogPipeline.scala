@@ -79,8 +79,10 @@ object MoniLogPipeline {
       matcher: SemanticMatcher,
       sequential: NGramModel,
       quantitative: QuantDetector,
-      templates: Map[Int, Vector[String]],
-  ) extends Serializable
+  ) extends Serializable {
+    /** The parser's table, read once on the driver; it ships in the broadcast. */
+    val templates: Map[Int, Vector[String]] = parser.templates
+  }
 
   // Derived once, not by reflection in every stage call as
   // `spark.implicits` would; lazy, so executors that only run the

@@ -1,5 +1,9 @@
 package repro.logs
 
+import java.nio.charset.StandardCharsets
+import java.security.MessageDigest
+
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions._
 import scala.util.Random
 
@@ -202,5 +206,59 @@ class LogSynthSpec extends SparkSpec {
       assert(msg.startsWith("Allocating "))
       assert(vars.length == 2)
     }
+  }
+
+  /** SHA-256 over every line's ground truth, in lineId order. */
+  private def fingerprint(lines: Seq[LogLine]): String = {
+    val md = MessageDigest.getInstance("SHA-256")
+    lines.sortBy(_.lineId).foreach { l =>
+      val row = Seq(l.lineId.toString, l.message, l.template, l.templateWithPayload,
+                    l.variables.mkString("\u0001"), l.sessionLabel).mkString("", "\u0000", "\n")
+      md.update(row.getBytes(StandardCharsets.UTF_8))
+    }
+    md.digest().map(b => f"$b%02x").mkString
+  }
+
+  private lazy val goldenCorpora: Seq[(String, Seq[LogLine])] = {
+    val cloud = LogSynth.cloud(spark, 2000, 0.05, seed = 3L, payloadProb = 0.7)
+    Seq[(String, Dataset[LogLine])](
+      "cloud"    -> cloud,
+      "hdfsLike" -> LogSynth.hdfsLike(spark, 2000, 0.05, quantShare = 0.5, seed = 3L),
+      "unstable" -> Instability.inject(cloud, 0.2, 3L),
+    ).map { case (name, ds) => name -> ds.collect().toSeq } :+
+      // the first session of this config whose twelve mutations all stay
+      // valid flows, so it takes the error-injection fallback
+      "fallback" -> LogSynth.genSession(298393L, SynthConfig(Seq("storage", "auth"), 1,
+                                                             anomalyRate = 1.0, quantShare = 0.0, seed = 3L))
+  }
+
+  test("generation reproduces the recorded corpora byte for byte") {
+    // recorded from a generator that stored both template strings on every
+    // line, so equality also pins the templates derived from the catalog
+    val golden = Map(
+      "cloud"    -> "12f52bf2b2257c78a1fbaa3658502a93c12ada619fe86e48660eda693a052afd",
+      "hdfsLike" -> "2b1ebd43dee5280fab8c3bf1c6a79826f073a9689666ccaf9836a996ef35bd0f",
+      "unstable" -> "8eba3465e4d7db68a1916c7145acf8b496cd38f063abf1596af7e3002f5028f1",
+      "fallback" -> "19bbf56865ea558f72cb23c0553d02bff3c630d91500c5a8609335500fdbf588",
+    )
+    goldenCorpora.foreach { case (name, lines) => assert(fingerprint(lines) == golden(name), name) }
+  }
+
+  test("templateWithPayload appends the payload mask exactly on payload lines") {
+    goldenCorpora.foreach { case (name, lines) =>
+      lines.foreach { l =>
+        val keys = Flows.allTemplates(l.templateId).payloadKeys
+        val mask = keys.map(k => s""""$k": <*>""").mkString("{", ", ", "}")
+        assert(l.templateWithPayload == (if (l.hasPayload) s"${l.template} $mask" else l.template),
+               s"$name: ${l.message}")
+        // an instability rewrite may merge the payload's tokens
+        if (!l.unstable)
+          assert(Preprocess.extractStructured(l.message)._2.isDefined == l.hasPayload, s"$name: ${l.message}")
+      }
+    }
+    // the cloud corpus draws both outcomes for payload-bearing templates
+    val drawn = goldenCorpora.toMap.apply("cloud")
+      .filter(l => Flows.allTemplates(l.templateId).payloadKeys.nonEmpty).map(_.hasPayload)
+    assert(drawn.toSet == Set(true, false))
   }
 }

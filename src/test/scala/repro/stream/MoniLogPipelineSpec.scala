@@ -32,9 +32,7 @@ class MoniLogPipelineSpec extends SparkSpec {
     val ngram = new NGramModel(2, 9).fit(Seq.fill(30)(tids))
     val quant = new QuantDetector(6.0)
     (1 to 60).foreach(i => quant.observe(tids(1), Seq(s"${40 + i % 5}")))
-    Models(drain,
-           new SemanticMatcher(drain.templates.view.mapValues(_.toSeq).toMap),
-           ngram, quant, drain.templates)
+    Models(drain, new SemanticMatcher(drain.templates), ngram, quant)
   }
 
   private def ts(sec: Int) = ms(sec * 1000L)
