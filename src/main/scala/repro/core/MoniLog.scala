@@ -14,8 +14,9 @@ import repro.stream.MoniLogPipeline.{Models, RawLog}
   * the frozen model bundle the streaming pipeline broadcasts.
   *
   * Training is itself distributed (the paper's §II scalability
-  * requirement): templates are mined with [[DistributedDrain]], and the
-  * history is then structured with the serving pipeline's own
+  * requirement): templates are mined with [[DistributedDrain.templates]],
+  * which builds and keeps no per-line mining output, and the history is
+  * then structured with the serving pipeline's own
   * [[MoniLogPipeline.parseStream]] → [[MoniLogPipeline.sequence]], so the
   * sequence and value models are fitted on sequences of exactly the shape
   * they later score. The fit itself is not distributed yet: every history
@@ -56,29 +57,25 @@ object MoniLog {
 
   /** Train the full model bundle from an anomaly-free history.
     *
-    * @param history columns `lineId`, `ts`, `source`, `sessionId`,
-    *                `message` (ground-truth columns, if present, are
+    * @param history columns `ts`, `source`, `sessionId`, `message` (other
+    *                columns, such as `lineId` and the ground truth, are
     *                ignored — training is unsupervised)
     */
   def train(spark: SparkSession, history: DataFrame): Models = {
     import spark.implicits._
     val cfg = TrainConfig()
 
-    // 1. mine templates distributively, over payload-stripped messages
-    val core = history.select(
-      col("lineId").cast("long") as "lineId",
-      col("message").cast("string") as "message",
-    ).as[(Long, String)]
-      .map { case (id, msg) => (id, Preprocess.extractStructured(msg)._1) }
-      .toDF("lineId", "message")
-    val mined = DistributedDrain.parse(core, cfg.depth, cfg.simThreshold)
-    mined.assignments.unpersist()
+    // 1. mine templates distributively, over payload-stripped messages; a
+    // null message has no text to mine
+    val core = history.select(col("message").cast("string")).where(col("message").isNotNull)
+      .as[String].map(Preprocess.extractStructured(_)._1).toDF("message")
+    val mined = DistributedDrain.templates(core, cfg.depth, cfg.simThreshold)
 
     // 2. frozen matcher tree: replay the mined templates into a fresh
     // Drain. Replay may merge further (two mined templates can be mutually
     // similar); the history is re-parsed below, so lines get frozen ids.
     val frozen = new Drain(cfg.depth, cfg.simThreshold)
-    mined.templates.toSeq.sortBy(_._1).foreach { case (_, toks) => frozen.parseTokens(toks) }
+    mined.toSeq.sortBy(_._1).foreach { case (_, toks) => frozen.parseTokens(toks) }
     val base = Models(
       parser = frozen,
       matcher = new SemanticMatcher(frozen.templates),

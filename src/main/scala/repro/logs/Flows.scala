@@ -26,25 +26,25 @@ object Flows {
   private val instIds: IndexedSeq[String] = (1 to 200).map(i => s"i-$i")
   private val paths: IndexedSeq[String] = (1 to 60).map(i => s"/user/job$i/part-$i")
 
-  private def t(id: Int, source: String, level: String, toks: Tok*): TemplateDef =
-    TemplateDef(id, source, level, toks)
+  private def t(id: Int, source: String, toks: Tok*): TemplateDef =
+    TemplateDef(id, source, toks)
 
   // ------------------------------------------------------------------
   // network — connection lifecycle (ids 10..15)
   // ------------------------------------------------------------------
   val networkTemplates: Seq[TemplateDef] = Seq(
-    t(10, "network", "INFO", Static("Connection"), Static("opened"), Static("src:"),
+    t(10, "network", Static("Connection"), Static("opened"), Static("src:"),
       CatVar(ips), Static("port:"), NumVar(32000, 8000)),
-    TemplateDef(11, "network", "INFO", Seq(Static("Sending"), NumVar(520, 120), Static("bytes"),
+    TemplateDef(11, "network", Seq(Static("Sending"), NumVar(520, 120), Static("bytes"),
       Static("src:"), CatVar(ips), Static("dest:"), CatVar(ips)),
       payloadKeys = Seq("user_id", "service_name", "request_id")),
-    t(12, "network", "INFO", Static("Received"), Static("ack"), Static("for"),
+    t(12, "network", Static("Received"), Static("ack"), Static("for"),
       NumVar(24, 6), Static("packets"), Static("from"), CatVar(ips)),
-    t(13, "network", "INFO", Static("Connection"), Static("closed"), Static("src:"),
+    t(13, "network", Static("Connection"), Static("closed"), Static("src:"),
       CatVar(ips), Static("duration:"), NumVar(1800, 400), Static("ms")),
-    t(14, "network", "ERROR", Static("Error"), Static("while"), Static("receiving"),
+    t(14, "network", Static("Error"), Static("while"), Static("receiving"),
       Static("data"), Static("src:"), CatVar(ips), Static("dest:"), CatVar(ips)),
-    t(15, "network", "ERROR", Static("Failed"), Static("to"), Static("verify"),
+    t(15, "network", Static("Failed"), Static("to"), Static("verify"),
       Static("data"), Static("integrity"), Static("src:"), CatVar(ips),
       Static("dest:"), CatVar(ips)),
   )
@@ -58,18 +58,18 @@ object Flows {
   // storage — volume attach lifecycle (ids 20..25)
   // ------------------------------------------------------------------
   val storageTemplates: Seq[TemplateDef] = Seq(
-    TemplateDef(20, "storage", "INFO", Seq(Static("Volume"), CatVar(volIds), Static("attach"),
+    TemplateDef(20, "storage", Seq(Static("Volume"), CatVar(volIds), Static("attach"),
       Static("requested"), Static("by"), Static("user"), CatVar(users)),
       payloadKeys = Seq("tenant", "az", "request_id", "api_version")),
-    t(21, "storage", "INFO", Static("Allocating"), NumVar(64, 16), Static("blocks"),
+    t(21, "storage", Static("Allocating"), NumVar(64, 16), Static("blocks"),
       Static("for"), Static("volume"), CatVar(volIds)),
-    t(22, "storage", "INFO", Static("Replicating"), Static("block"), CatVar(blockIds),
+    t(22, "storage", Static("Replicating"), Static("block"), CatVar(blockIds),
       Static("to"), Static("node"), CatVar(hosts)),
-    t(23, "storage", "INFO", Static("Volume"), CatVar(volIds), Static("attached"),
+    t(23, "storage", Static("Volume"), CatVar(volIds), Static("attached"),
       Static("successfully"), Static("in"), NumVar(950, 220), Static("ms")),
-    t(24, "storage", "ERROR", Static("Checksum"), Static("mismatch"), Static("on"),
+    t(24, "storage", Static("Checksum"), Static("mismatch"), Static("on"),
       Static("block"), CatVar(blockIds), Static("node"), CatVar(hosts)),
-    t(25, "storage", "ERROR", Static("Volume"), CatVar(volIds), Static("attach"),
+    t(25, "storage", Static("Volume"), CatVar(volIds), Static("attach"),
       Static("failed:"), Static("insufficient"), Static("capacity")),
   )
   val storageFlow: SourceFlow = SourceFlow(
@@ -82,17 +82,17 @@ object Flows {
   // compute — instance launch lifecycle (ids 30..35)
   // ------------------------------------------------------------------
   val computeTemplates: Seq[TemplateDef] = Seq(
-    t(30, "compute", "INFO", Static("Instance"), CatVar(instIds), Static("launch"),
+    t(30, "compute", Static("Instance"), CatVar(instIds), Static("launch"),
       Static("requested"), Static("image"), CatVar(images), Static("flavor"), CatVar(flavors)),
-    t(31, "compute", "INFO", Static("Scheduling"), Static("instance"), CatVar(instIds),
+    t(31, "compute", Static("Scheduling"), Static("instance"), CatVar(instIds),
       Static("on"), Static("host"), CatVar(hosts)),
-    t(32, "compute", "INFO", Static("Spawning"), Static("instance"), CatVar(instIds),
+    t(32, "compute", Static("Spawning"), Static("instance"), CatVar(instIds),
       Static("on"), Static("host"), CatVar(hosts)),
-    t(33, "compute", "INFO", Static("Instance"), CatVar(instIds), Static("became"),
+    t(33, "compute", Static("Instance"), CatVar(instIds), Static("became"),
       Static("active"), Static("in"), NumVar(42, 9, integer = false), Static("seconds")),
-    t(34, "compute", "ERROR", Static("Instance"), CatVar(instIds), Static("failed"),
+    t(34, "compute", Static("Instance"), CatVar(instIds), Static("failed"),
       Static("to"), Static("spawn"), Static("on"), Static("host"), CatVar(hosts)),
-    t(35, "compute", "ERROR", Static("Instance"), CatVar(instIds), Static("heartbeat"),
+    t(35, "compute", Static("Instance"), CatVar(instIds), Static("heartbeat"),
       Static("lost"), Static("on"), Static("host"), CatVar(hosts)),
   )
   val computeFlow: SourceFlow = SourceFlow(
@@ -105,18 +105,18 @@ object Flows {
   // auth — token/session lifecycle (ids 40..45)
   // ------------------------------------------------------------------
   val authTemplates: Seq[TemplateDef] = Seq(
-    t(40, "auth", "INFO", Static("User"), CatVar(users), Static("login"),
+    t(40, "auth", Static("User"), CatVar(users), Static("login"),
       Static("attempt"), Static("from"), CatVar(ips)),
-    t(41, "auth", "INFO", Static("Token"), Static("issued"), Static("for"),
+    t(41, "auth", Static("Token"), Static("issued"), Static("for"),
       Static("user"), CatVar(users), Static("ttl"), NumVar(3600, 600), Static("seconds")),
-    TemplateDef(42, "auth", "INFO", Seq(Static("User"), CatVar(users), Static("request"),
+    TemplateDef(42, "auth", Seq(Static("User"), CatVar(users), Static("request"),
       CatVar(apis), Static("authorized")),
       payloadKeys = Seq("role", "mfa", "client")),
-    t(43, "auth", "INFO", Static("Session"), Static("expired"), Static("for"),
+    t(43, "auth", Static("Session"), Static("expired"), Static("for"),
       Static("user"), CatVar(users)),
-    t(44, "auth", "ERROR", Static("Authentication"), Static("failure"), Static("for"),
+    t(44, "auth", Static("Authentication"), Static("failure"), Static("for"),
       Static("user"), CatVar(users), Static("from"), CatVar(ips)),
-    t(45, "auth", "ERROR", Static("Too"), Static("many"), Static("failed"),
+    t(45, "auth", Static("Too"), Static("many"), Static("failed"),
       Static("attempts"), Static("from"), CatVar(ips), Static("blocking")),
   )
   val authFlow: SourceFlow = SourceFlow(
@@ -130,18 +130,18 @@ object Flows {
   // (ids 50..56), shaped after the classic HDFS benchmark sessions.
   // ------------------------------------------------------------------
   val hdfsTemplates: Seq[TemplateDef] = Seq(
-    t(50, "hdfs", "INFO", Static("Receiving"), Static("block"), CatVar(blockIds),
+    t(50, "hdfs", Static("Receiving"), Static("block"), CatVar(blockIds),
       Static("src:"), CatVar(ips), Static("dest:"), CatVar(ips)),
-    t(51, "hdfs", "INFO", Static("BLOCK"), Static("NameSystem.allocateBlock:"), CatVar(paths)),
-    t(52, "hdfs", "INFO", Static("Received"), Static("block"), CatVar(blockIds),
+    t(51, "hdfs", Static("BLOCK"), Static("NameSystem.allocateBlock:"), CatVar(paths)),
+    t(52, "hdfs", Static("Received"), Static("block"), CatVar(blockIds),
       Static("of"), Static("size"), NumVar(67000000, 9000000), Static("from"), CatVar(ips)),
-    t(53, "hdfs", "INFO", Static("PacketResponder"), NumVar(1.5, 0.8), Static("for"),
+    t(53, "hdfs", Static("PacketResponder"), NumVar(1.5, 0.8), Static("for"),
       Static("block"), CatVar(blockIds), Static("terminating")),
-    t(54, "hdfs", "INFO", Static("BLOCK"), Static("ask"), CatVar(ips), Static("to"),
+    t(54, "hdfs", Static("BLOCK"), Static("ask"), CatVar(ips), Static("to"),
       Static("replicate"), CatVar(blockIds), Static("to"), Static("datanode"), CatVar(ips)),
-    t(55, "hdfs", "ERROR", Static("Exception"), Static("in"), Static("receiveBlock"),
+    t(55, "hdfs", Static("Exception"), Static("in"), Static("receiveBlock"),
       Static("for"), Static("block"), CatVar(blockIds), Static("java.io.IOException")),
-    t(56, "hdfs", "ERROR", Static("PendingReplicationMonitor"), Static("timed"),
+    t(56, "hdfs", Static("PendingReplicationMonitor"), Static("timed"),
       Static("out"), Static("block"), CatVar(blockIds)),
   )
   val hdfsFlow: SourceFlow = SourceFlow(

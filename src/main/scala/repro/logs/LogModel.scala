@@ -71,7 +71,6 @@ object LogModel {
   final case class TemplateDef(
       id: Int,
       source: String,
-      level: String,
       toks: Seq[Tok],
       payloadKeys: Seq[String] = Nil,
   ) {
@@ -87,9 +86,6 @@ object LogModel {
     val templateWithPayload: String =
       if (payloadKeys.isEmpty) templateString
       else payloadKeys.map(k => s""""$k": <*>""").mkString(s"$templateString {", ", ", "}")
-
-    /** Number of variable slots. */
-    val arity: Int = toks.count(!_.isInstanceOf[Static])
   }
 
   /** One step of a session flow. */

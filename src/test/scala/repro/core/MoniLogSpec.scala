@@ -76,6 +76,14 @@ class MoniLogSpec extends SparkSpec {
     assert(cached == before)
   }
 
+  test("a null history message is skipped by mining") {
+    val small = LogSynth.cloud(spark, 100, anomalyRate = 0.0, seed = 52L, payloadProb = 0.3).toDF()
+    val withNull = small.withColumn("message",
+      when(col("lineId") === 0L, lit(null).cast("string")).otherwise(col("message")))
+    val trained = MoniLog.train(spark, withNull)
+    assert(trained.templates == MoniLog.train(spark, small.where(col("lineId") =!= 0L)).templates)
+  }
+
   test("a normal session that pauses mid-flow is not reported") {
     // One session in four pauses 10 s after its 3rd event, in the training
     // history and the held-out corpus alike. Serving cuts such a session at

@@ -34,16 +34,10 @@ class FlowsSpec extends AnyFunSuite {
     }
   }
 
-  test("error templates carry ERROR level") {
-    (Flows.cloudFlows :+ Flows.hdfsFlow).foreach { flow =>
-      flow.errorTemplateIds.foreach(id => assert(Flows.allTemplates(id).level == "ERROR"))
-    }
-  }
-
   test("templateString puts <*> at variable slots") {
     val td = Flows.allTemplates(11)
     assert(td.templateString == "Sending <*> bytes src: <*> dest: <*>")
-    assert(td.arity == 3)
+    assert(td.templateString.split(" ").count(_ == "<*>") == 3)
   }
 
   test("repeat bounds are sane") {

@@ -75,11 +75,33 @@ class DistributedDrainSpec extends SparkSpec {
   }
 
   test("parse leaves one cached result, and unpersisting it leaves none") {
-    // MoniLog.train, T8 and ParserHarness.runDistributed rely on this contract
+    // T8 and ParserHarness.runDistributed rely on this contract
     val df = corpus(100)
     def cached = spark.sparkContext.getPersistentRDDs.size
     val before = cached
     parsed(df, 4)(_ => assert(cached == before + 1))
+    assert(cached == before)
+  }
+
+  test("templates mines parse's template table, id for id") {
+    for (sources <- Seq(Seq("network"), Seq("network", "storage", "compute", "auth"));
+         n       <- Seq(1, 4, 8)) {
+      // one cached partitioning, so both entry points mine the same partitions
+      val input = corpus(300, sources).select("lineId", "message").repartition(n).cache()
+      try {
+        assert(input.rdd.getNumPartitions == n)
+        parsed(input, 0) { res =>
+          assert(DistributedDrain.templates(input) == res.templates, s"$n partitions of $sources")
+        }
+      } finally input.unpersist()
+    }
+  }
+
+  test("templates leaves nothing cached") {
+    val df = corpus(100)
+    def cached = spark.sparkContext.getPersistentRDDs.size
+    val before = cached
+    assert(DistributedDrain.templates(df.select("message")).nonEmpty)
     assert(cached == before)
   }
 }
