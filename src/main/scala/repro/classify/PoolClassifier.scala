@@ -66,14 +66,17 @@ class PoolClassifier extends Serializable {
 
   def createPool(name: String): Unit = pools += name
 
-  /** Deleting a pool forgets its feedback; pending reports fall back to
-    * the default pool.
+  /** Deleting a pool forgets its feedback, its features included (they
+    * size the Laplace vocabulary); pending reports fall back to the
+    * default pool.
     */
   def deletePool(name: String): Unit = if (name != DefaultPool) {
     pools -= name
     featCounts.remove(name)
     poolCounts.remove(name)
     critCounts.filterInPlace { case ((p, _), _) => p != name }
+    features.clear()
+    featCounts.valuesIterator.foreach(features ++= _.keys)
   }
 
   /** Apply one admin action (the passive training signal). */

@@ -12,16 +12,20 @@ import scala.collection.mutable
   * leaf holding a list of log groups. A new line joins the most similar
   * group if the similarity of static tokens ≥ `simThreshold`, updating
   * the group template token-wise (mismatching positions become `<*>`);
-  * otherwise it starts a new group.
+  * otherwise it starts a new group. An empty line equals an empty
+  * template.
   *
   * The two hyper-parameters (`depth`, `simThreshold`) are exactly the
   * ones whose sensitivity the paper measures as an automation limit
   * (§IV); `T4ParserBench` sweeps them.
   *
+  * [[parseTokens]] grows the tree under the instance lock;
+  * [[matchTokens]] walks the same tree without a lock and allocates
+  * nothing. That is safe under one rule: a `Drain` does not learn while
+  * another thread matches it. Learn first, then hand the tree over (a
+  * broadcast, a thread start), then match from any number of threads.
   * Instances are serializable so a trained tree can be broadcast and
-  * applied in executors via [[matchTokens]] (frozen, streaming mode).
-  * Frozen matching takes no lock: it reads an immutable index of the tree,
-  * built on first use after the last learning step.
+  * matched in executors (frozen, streaming mode).
   */
 class Drain(
     val depth: Int = 4,
@@ -29,174 +33,134 @@ class Drain(
     val maxChildren: Int = 100,
 ) extends Serializable {
 
-  /** A leaf group: mined template plus its stable id. */
-  final class Group(val id: Int, var template: Vector[String]) extends Serializable
+  /** A leaf group: its stable id and mined template. It also keeps the
+    * positions where the template is static and the words there, since
+    * only those count towards similarity.
+    */
+  private final class Group(val id: Int, tokens: Vector[String]) extends Serializable {
+    val found: Option[Int] = Some(id) // a match allocates nothing
+    var template: Vector[String] = _
+    var statics: Array[Int]      = _
+    var words: Array[String]     = _
+    set(tokens)
 
-  private final class Node extends Serializable {
-    val children: mutable.Map[String, Node] = mutable.Map.empty
-    val groups: mutable.ArrayBuffer[Group]  = mutable.ArrayBuffer.empty
+    def set(t: Vector[String]): Unit = {
+      template = t
+      statics = t.indices.filter(t(_) != "<*>").toArray
+      words = statics.map(t)
+    }
   }
 
-  private val root  = new Node
-  private var nextId = 0
-  private val byId  = mutable.Map.empty[Int, Group]
+  private final class Node extends Serializable {
+    val children = new java.util.HashMap[String, Node]()
+    val groups   = mutable.ArrayBuffer.empty[Group]
+
+    /** Child for a token key; an unknown key falls through `<*>`. */
+    def next(key: String): Node = {
+      val c = children.get(key)
+      if (c ne null) c else children.get("<*>")
+    }
+  }
+
+  /** Token-count level: the node for `n` tokens is `byLength(n)`. Once
+    * `maxChildren` counts have nodes, a new count goes to `anyLength`.
+    */
+  private var byLength  = new Array[Node](0)
+  private var counts    = 0
+  private var anyLength: Node = null
+  private val groups    = mutable.ArrayBuffer.empty[Group] // by id
 
   /** All mined templates, id → token vector. */
-  def templates: Map[Int, Vector[String]] = byId.view.mapValues(_.template).toMap
+  def templates: Map[Int, Vector[String]] = groups.iterator.map(g => g.id -> g.template).toMap
 
   /** Parse one message online: returns the group id, learning as needed. */
   def parse(message: String): Int = parseTokens(Preprocess.tokenize(message))
 
   /** Parse pre-tokenized input online. */
   def parseTokens(tokens: Vector[String]): Int = synchronized {
-    index = null
     val leaf = descend(tokens)
-    bestGroup(leaf.groups, tokens) match {
-      case Some(g) =>
-        g.template = merge(g.template, tokens)
-        g.id
-      case None =>
-        val g = new Group(nextId, tokens)
-        nextId += 1
-        byId(g.id) = g
-        leaf.groups += g
-        g.id
+    val g    = best(leaf, tokens)
+    if (g ne null) {
+      val merged = merge(g.template, tokens)
+      if (merged != g.template) g.set(merged)
+      g.id
+    } else {
+      val fresh = new Group(groups.length, tokens)
+      groups += fresh
+      leaf.groups += fresh
+      fresh.id
     }
   }
 
   /** Frozen lookup: match without learning. None if no group is similar
     * enough (a novel template — MoniLog's streaming path hands these to
-    * the semantic matcher).
-    */
-  def matchOnly(message: String): Option[Int] = matchTokens(Preprocess.tokenize(message))
-
-  /** Lock-free: reads the frozen [[Index]], building it on the first call
-    * after the last [[parseTokens]]. Safe to call from many threads.
+    * the semantic matcher). Lock-free; see the class comment.
     */
   def matchTokens(tokens: Vector[String]): Option[Int] = {
-    val ix   = { val i = index; if (i ne null) i else freeze() }
-    var node = ix.root(tokens.length)
-    val n    = math.min(tokens.length, depth - 2)
+    var node = lengthNode(tokens.length)
+    val d    = math.min(tokens.length, depth - 2)
     var i    = 0
-    while (i < n && (node ne null)) {
-      val t = tokens(i)
-      node = node.child(if (Preprocess.looksVariable(t)) "<*>" else t)
+    while (i < d && (node ne null)) {
+      node = node.next(key(tokens(i)))
       i += 1
     }
-    if (node eq null) None else node.best(tokens)
+    val g = if (node eq null) null else best(node, tokens)
+    if (g eq null) None else g.found
   }
-
-  // ----------------------------------------------------------------
-  // frozen index
-  // ----------------------------------------------------------------
-
-  /** Read-only copy of the tree for [[matchTokens]]. Published through a
-    * volatile field and never mutated afterwards, so readers need no lock.
-    * Transient: a broadcast carries only the tree and each executor JVM
-    * rebuilds its index on first use.
-    */
-  @volatile @transient private var index: Index = null
-
-  private def freeze(): Index = synchronized {
-    if (index eq null) index = new Index(root)
-    index
-  }
-
-  private final class Index(tree: Node) {
-    private val byLength = new Array[Frozen](
-      tree.children.keysIterator.filter(_ != "<*>").map(_.toInt + 1).maxOption.getOrElse(0))
-    tree.children.foreach { case (k, c) => if (k != "<*>") byLength(k.toInt) = new Frozen(c) }
-    private val anyLength = tree.children.get("<*>").map(new Frozen(_)).orNull
-
-    /** Token-count level; a count the tree never saw falls through `<*>`. */
-    def root(length: Int): Frozen =
-      if (length < byLength.length && (byLength(length) ne null)) byLength(length) else anyLength
-  }
-
-  /** A frozen node. Each group keeps only the positions where its template
-    * is static, since only those count towards similarity.
-    */
-  private final class Frozen(node: Node) {
-    private val children = new java.util.HashMap[String, Frozen]()
-    node.children.foreach { case (k, c) => children.put(k, new Frozen(c)) }
-    private val wildcard = children.get("<*>")
-    private val found    = node.groups.map(g => Some(g.id)).toArray // a match allocates nothing
-    private val lengths  = node.groups.map(_.template.length).toArray
-    private val statics  = node.groups.map(g => g.template.indices.filter(g.template(_) != "<*>").toArray).toArray
-    private val words    = node.groups.indices.map(j => statics(j).map(node.groups(j).template)).toArray
-
-    /** Child for a token key; an unknown key falls through `<*>`. */
-    def child(key: String): Frozen = {
-      val c = children.get(key)
-      if (c ne null) c else wildcard
-    }
-
-    /** [[bestGroup]] over the frozen groups: first maximum wins. */
-    def best(tokens: Vector[String]): Option[Int] = {
-      var top     = -1
-      var bestSim = -1.0
-      var j       = 0
-      while (j < found.length) {
-        val s =
-          if (lengths(j) != tokens.length) 0.0
-          else {
-            val pos = statics(j); val w = words(j)
-            var eq  = 0
-            var k   = 0
-            while (k < pos.length) { if (w(k) == tokens(pos(k))) eq += 1; k += 1 }
-            eq.toDouble / lengths(j) // NaN for two empty lines, as in simSeq
-          }
-        if (s > bestSim) { bestSim = s; top = j }
-        j += 1
-      }
-      if (top >= 0 && bestSim >= simThreshold) found(top) else None
-    }
-  }
-
-  // ----------------------------------------------------------------
-  // mining
-  // ----------------------------------------------------------------
 
   /** Leaf for a line: token-count node, then up to `depth - 2` leading
     * tokens; a full node sends a new key to its `<*>` child.
     */
   private def descend(tokens: Vector[String]): Node = {
-    var node = child(root, tokens.length.toString)
+    val n = tokens.length
+    if (n >= byLength.length || (byLength(n) eq null)) {
+      if (counts < maxChildren) {
+        if (n >= byLength.length) byLength = java.util.Arrays.copyOf(byLength, n + 1)
+        byLength(n) = new Node
+        counts += 1
+      } else if (anyLength eq null) anyLength = new Node
+    }
+    var node = lengthNode(n)
     tokens.iterator.take(depth - 2).foreach { t =>
-      node = child(node, if (Preprocess.looksVariable(t)) "<*>" else t)
+      val want = key(t)
+      val k =
+        if (want == "<*>" || node.children.containsKey(want) || node.children.size < maxChildren) want
+        else "<*>"
+      node = node.children.computeIfAbsent(k, _ => new Node)
     }
     node
   }
 
-  private def child(node: Node, want: String): Node = {
-    val key =
-      if (want == "<*>" || node.children.contains(want) || node.children.size < maxChildren) want
-      else "<*>"
-    node.children.getOrElseUpdate(key, new Node)
-  }
+  private def lengthNode(n: Int): Node =
+    if (n < byLength.length && (byLength(n) ne null)) byLength(n) else anyLength
 
-  /** Similarity over positions where the template is static; wildcard
-    * positions contribute 0, per the original algorithm.
+  private def key(token: String): String = if (Preprocess.looksVariable(token)) "<*>" else token
+
+  /** The leaf's most similar group, the first mined on a tie; null if
+    * none reaches `simThreshold`. Similarity is the share of positions
+    * where the line repeats the template's static token; wildcard
+    * positions count 0, per the original algorithm. An empty line and an
+    * empty template have similarity 1.
     */
-  private def simSeq(template: Vector[String], tokens: Vector[String]): Double = {
-    if (template.length != tokens.length) return 0.0
-    var eq = 0
-    var i  = 0
-    while (i < template.length) {
-      if (template(i) == tokens(i) && template(i) != "<*>") eq += 1
-      i += 1
+  private def best(leaf: Node, tokens: Vector[String]): Group = {
+    var top: Group = null
+    var topSim     = -1.0
+    var j          = 0
+    while (j < leaf.groups.length) {
+      val g = leaf.groups(j)
+      val s =
+        if (g.template.length != tokens.length) 0.0
+        else if (tokens.isEmpty) 1.0
+        else {
+          var eq = 0
+          var k  = 0
+          while (k < g.statics.length) { if (g.words(k) == tokens(g.statics(k))) eq += 1; k += 1 }
+          eq.toDouble / tokens.length
+        }
+      if (s > topSim) { topSim = s; top = g }
+      j += 1
     }
-    eq.toDouble / template.length
-  }
-
-  private def bestGroup(groups: mutable.ArrayBuffer[Group], tokens: Vector[String]): Option[Group] = {
-    var best: Group = null
-    var bestSim     = -1.0
-    groups.foreach { g =>
-      val s = simSeq(g.template, tokens)
-      if (s > bestSim) { bestSim = s; best = g }
-    }
-    if (best != null && bestSim >= simThreshold) Some(best) else None
+    if ((top ne null) && topSim >= simThreshold) top else null
   }
 
   private def merge(template: Vector[String], tokens: Vector[String]): Vector[String] =

@@ -77,6 +77,19 @@ class PoolClassifierSpec extends AnyFunSuite {
     (1 to 5).foreach(_ => c.observe(MoveToPool(report("auth", "sequential"), "security")))
     c.deletePool("security")
     assert(c.classifyPool(report("auth", "sequential")) != "security")
+
+    // the deleted pool's features no longer widen the Laplace vocabulary:
+    // the answer equals that of a classifier that never saw the pool
+    val probe = report("storage", "quantitative", Seq(99))
+    val kept  = MoveToPool(report("network", "sequential", Seq(1)), "x")
+    val after = new PoolClassifier()
+    after.observe(kept)
+    (0 until 60).foreach(i => after.observe(MoveToPool(report("auth", "sequential", Seq(100 + i)), "y")))
+    after.deletePool("y")
+    val fresh = new PoolClassifier()
+    fresh.observe(kept)
+    assert(fresh.classifyPool(probe) == DefaultPool)
+    assert(after.classifyPool(probe) == fresh.classifyPool(probe))
   }
 
   test("observe(MoveToPool) creates unknown pools on the fly") {

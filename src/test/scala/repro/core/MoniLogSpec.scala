@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.Metrics.PRF
 import repro.logs.LogSynth
+import repro.parse.Preprocess
 import repro.stream.MoniLogPipeline.RawLog
 
 class MoniLogSpec extends SparkSpec {
@@ -26,8 +27,8 @@ class MoniLogSpec extends SparkSpec {
   test("trained parser matches held-out normal lines exactly") {
     val misses = labeled.where(col("sessionLabel") === "normal")
       .select("message").as[String].collect()
-      .count(m => models.parser.matchOnly(
-        repro.parse.Preprocess.extractStructured(m)._1).isEmpty)
+      .count(m => models.parser.matchTokens(
+        Preprocess.tokenize(Preprocess.extractStructured(m)._1)).isEmpty)
     assert(misses == 0)
   }
 

@@ -4,7 +4,7 @@ import scala.collection.mutable
 
 import repro.SparkSpec
 import repro.logs.{Instability, LogSynth}
-import repro.parse.Drain
+import repro.parse.{Drain, Preprocess}
 import repro.stream.MoniLogPipeline.NovelId
 import repro.tables.DetectEval
 
@@ -137,7 +137,8 @@ class NGramModelSpec extends SparkSpec {
       .groupBy(_._1.sessionId).values.map(_.sortBy(_._1.lineId).map(_._2).toSeq).toSeq
     val test = all.filter(_.lineId >= cut).flatMap(Instability.injectLine(_, 0.2, 43L))
       .groupBy(_.sessionId).values
-      .map(_.sortBy(l => (l.ts.getTime, l.lineId)).map(l => drain.matchOnly(l.message).getOrElse(NovelId)).toSeq)
+      .map(_.sortBy(l => (l.ts.getTime, l.lineId))
+        .map(l => drain.matchTokens(Preprocess.tokenize(l.message)).getOrElse(NovelId)).toSeq)
       .toSeq
     assert(test.exists(_.contains(NovelId)))
     def dedup(s: Seq[Int]) = s.foldLeft(Vector.empty[Int])((acc, x) => if (acc.lastOption.contains(x)) acc else acc :+ x)

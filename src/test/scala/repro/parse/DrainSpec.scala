@@ -59,7 +59,7 @@ class DrainSpec extends AnyFunSuite {
     val id = d.parse("Spawning instance i-1 on host node-01")
     d.parse("Spawning instance i-2 on host node-02")
     val before = d.templates.size
-    assert(d.matchOnly("Spawning instance i-9 on host node-07").contains(id))
+    assert(d.matchTokens(Preprocess.tokenize("Spawning instance i-9 on host node-07")).contains(id))
     assert(d.templates.size == before)
   }
 
@@ -67,12 +67,12 @@ class DrainSpec extends AnyFunSuite {
     val d = new Drain()
     d.parse("alpha beta gamma")
     val before = d.templates
-    assert(d.matchOnly("one two three four five").isEmpty)
+    assert(d.matchTokens(Preprocess.tokenize("one two three four five")).isEmpty)
     assert(d.templates == before)
   }
 
   test("matchOnly on an empty tree is None") {
-    assert(new Drain().matchOnly("anything at all").isEmpty)
+    assert(new Drain().matchTokens(Preprocess.tokenize("anything at all")).isEmpty)
   }
 
   test("simThreshold=1.0 only merges exact (post-mask) duplicates") {
@@ -116,12 +116,7 @@ class DrainSpec extends AnyFunSuite {
     val d = new Drain()
     val id = d.parse("Sending 1 bytes src: a dest: b")
     d.parse("Sending 2 bytes src: c dest: d")
-    val bytes = new java.io.ByteArrayOutputStream()
-    val oos = new java.io.ObjectOutputStream(bytes)
-    oos.writeObject(d); oos.close()
-    val d2 = new java.io.ObjectInputStream(
-      new java.io.ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[Drain]
-    assert(d2.matchOnly("Sending 3 bytes src: e dest: f").contains(id))
+    assert(roundTrip(d).matchTokens(Preprocess.tokenize("Sending 3 bytes src: e dest: f")).contains(id))
   }
 
   test("parse order independence for disjoint templates (fuzz)") {
@@ -145,23 +140,45 @@ class DrainSpec extends AnyFunSuite {
     assert(d.templates.size == repro.logs.Flows.networkTemplates.size)
   }
 
-  // ---- frozen index ----
+  test("a position mined to <*> no longer counts towards similarity") {
+    val d  = new Drain(simThreshold = 0.6)
+    val id = d.parse("a b c d e f")
+    assert(d.parse("a b c d x y") == id) // 4/6 static tokens agree: "a b c d <*> <*>"
+    // only a and b agree with the static positions (2/6); e and f sit where the template is now <*>
+    assert(d.matchTokens(Preprocess.tokenize("a b z w e f")).isEmpty)
+    assert(d.parse("a b z w e f") != id)
+  }
 
+  test("a blank line equals an empty template") {
+    val d  = new Drain()
+    val id = d.parse("")
+    assert(d.parse("   ") == id)
+    assert(d.templates == Map(id -> Vector.empty))
+    assert(d.matchTokens(Vector.empty).contains(id))
+  }
+
+  // ---- frozen matching ----
+
+  /** The trained tree and its Java-serialized copy (what a broadcast
+    * ships) must both give the golden ids.
+    */
   test("frozen matching returns the ids recorded from the locked tree walk") {
     for ((corpus, cfg) <- Seq("cloud" -> CloudCfg, "hdfs" -> HdfsCfg);
          (config, mk)  <- Configs) {
       val d = trained(mk(), cfg)
-      assert(probe(cfg).map(l => d.matchOnly(core(l)).getOrElse(-1)) == Golden((corpus, config)),
-             s"$corpus / $config")
+      for ((copy, how) <- Seq(d -> "trained", roundTrip(d) -> "deserialized"))
+        assert(probe(cfg).map(l => copy.matchTokens(Preprocess.tokenize(core(l))).getOrElse(-1)) ==
+                 Golden((corpus, config)), s"$corpus / $config / $how")
     }
   }
 
   test("learning after a match invalidates the frozen index") {
+    // one tree serves both, so a group learned after a match is matched at once
     val d = new Drain()
     d.parse("alpha beta gamma")
-    assert(d.matchOnly("one two three four").isEmpty)
+    assert(d.matchTokens(Preprocess.tokenize("one two three four")).isEmpty)
     val id = d.parse("one two three four")
-    assert(d.matchOnly("one two three four").contains(id))
+    assert(d.matchTokens(Preprocess.tokenize("one two three four")).contains(id))
   }
 
   test("a similarity tie between groups of one leaf goes to the first mined") {
@@ -169,13 +186,13 @@ class DrainSpec extends AnyFunSuite {
     val first  = d.parse("a b c d e f")
     val second = d.parse("a b x y z w")
     assert(first != second)
-    assert(d.matchOnly("a b c d z w").contains(first))
+    assert(d.matchTokens(Preprocess.tokenize("a b c d z w")).contains(first))
   }
 
   test("threads sharing one trained Drain match as one thread does") {
     val tokens   = probe(CloudCfg).map(l => Preprocess.tokenize(core(l)))
     val expected = { val d = trained(new Drain(), CloudCfg); tokens.map(d.matchTokens) }
-    val shared   = trained(new Drain(), CloudCfg) // index not built yet: threads race to build it
+    val shared   = trained(new Drain(), CloudCfg) // learned here, before the threads start
     val passes   = 20
     val nThreads = math.max(2, Runtime.getRuntime.availableProcessors)
     val barrier  = new CyclicBarrier(nThreads)
@@ -205,6 +222,15 @@ object DrainSpec {
 
   def core(l: LogLine): String = Preprocess.extractStructured(l.message)._1
 
+  /** Java serialization there and back, as a broadcast ships a `Drain`. */
+  def roundTrip(d: Drain): Drain = {
+    val bytes = new java.io.ByteArrayOutputStream()
+    val oos   = new java.io.ObjectOutputStream(bytes)
+    oos.writeObject(d); oos.close()
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[Drain]
+  }
+
   /** Learns 300 normal sessions. */
   def trained(d: Drain, cfg: LogSynth.SynthConfig): Drain = {
     (0L until 300L).flatMap(LogSynth.genSession(_, cfg.copy(anomalyRate = 0.0)))
@@ -221,7 +247,7 @@ object DrainSpec {
 
   private def ids(s: String): Seq[Int] = s.trim.split("\\s+").toSeq.map(_.toInt)
 
-  // Recorded with the synchronized tree walk that preceded the frozen index.
+  // Recorded with an earlier, locked tree walk; matching must reproduce them unedited.
   private val cloudDefault = """
     0 1 1 1 2 4 5 -1 6 6 6 6 7 8 9 10 11 12 13 14 14 14 15 0 1 1 1 2 1 3 -1 5 6 6 6 6 6 6 7
     8 9 10 11 12 13 14 14 14 15 0 1 1 2 3 4 4 5 6 6 6 -1 6 -1 8 9 10 11 12 13 -1 14 15 -1 1

@@ -12,7 +12,7 @@ import repro.SparkSpec
 import repro.classify.PoolClassifier
 import repro.core.MoniLog
 import repro.detect.{NGramModel, QuantDetector, SemanticMatcher}
-import repro.parse.Drain
+import repro.parse.{Drain, Preprocess}
 import repro.stream.MoniLogPipeline._
 
 class MoniLogPipelineSpec extends SparkSpec {
@@ -27,8 +27,8 @@ class MoniLogPipelineSpec extends SparkSpec {
       s"task finished after ${40 + i % 5} ms",
     ))
     msgs.foreach(drain.parse)
-    val tids = Seq(drain.matchOnly("task started on node n1").get,
-                   drain.matchOnly("task finished after 42 ms").get)
+    val tids = Seq(drain.matchTokens(Preprocess.tokenize("task started on node n1")).get,
+                   drain.matchTokens(Preprocess.tokenize("task finished after 42 ms")).get)
     val ngram = new NGramModel(2, 9).fit(Seq.fill(30)(tids))
     val quant = new QuantDetector(6.0)
     (1 to 60).foreach(i => quant.observe(tids(1), Seq(s"${40 + i % 5}")))
