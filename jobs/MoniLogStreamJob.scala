@@ -4,6 +4,7 @@ import java.nio.file.{Files, Paths, StandardCopyOption}
 import java.time.Instant
 
 import org.apache.commons.io.FileUtils
+import org.apache.spark.sql.Encoders
 import org.apache.spark.sql.functions._
 
 import repro.classify.PoolClassifier
@@ -48,7 +49,7 @@ object MoniLogStreamJob {
         .write.json(spool)
       Console.err.println(s"[monilog] spool directory: $spool")
 
-      val schema = "ts TIMESTAMP, source STRING, sessionId STRING, message STRING"
+      val schema = Encoders.product[RawLog].schema
       val raw = spark.readStream
         .schema(schema)
         .json(spool)

@@ -44,6 +44,13 @@ object PoolClassifier {
         templateIds.distinct.map(t => s"tpl:$t")
   }
 
+  /** One pool's feedback: reports moved in, their features, criticality corrections. */
+  private final class Pool extends Serializable {
+    var reports  = 0
+    val features = mutable.Map.empty[String, Int]
+    val levels   = mutable.Map.empty[String, Int]
+  }
+
   /** An administrator action observed by the classifier. */
   sealed trait AdminAction
   final case class MoveToPool(report: ReportFeatures, pool: String) extends AdminAction
@@ -54,17 +61,14 @@ object PoolClassifier {
 class PoolClassifier extends Serializable {
   import PoolClassifier._
 
-  private val pools = mutable.Set(DefaultPool)
-  // pool -> (feature -> count), pool -> total reports
-  private val featCounts = mutable.Map.empty[String, mutable.Map[String, Double]]
-  private val poolCounts = mutable.Map.empty[String, Double]
-  // (pool, criticality) -> count
-  private val critCounts = mutable.Map.empty[(String, String), Double]
-  private val features   = mutable.Set.empty[String]
+  /** Pool name → its feedback, in name order: a tie goes to the first name. */
+  private val pools = mutable.TreeMap(DefaultPool -> new Pool)
+  /** Every feature of a moved report, the Laplace vocabulary. */
+  private val vocabulary = mutable.Set.empty[String]
 
-  def knownPools: Set[String] = pools.toSet
+  def knownPools: Set[String] = pools.keySet.toSet
 
-  def createPool(name: String): Unit = pools += name
+  def createPool(name: String): Unit = pools.getOrElseUpdate(name, new Pool)
 
   /** Deleting a pool forgets its feedback, its features included (they
     * size the Laplace vocabulary); pending reports fall back to the
@@ -72,52 +76,44 @@ class PoolClassifier extends Serializable {
     */
   def deletePool(name: String): Unit = if (name != DefaultPool) {
     pools -= name
-    featCounts.remove(name)
-    poolCounts.remove(name)
-    critCounts.filterInPlace { case ((p, _), _) => p != name }
-    features.clear()
-    featCounts.valuesIterator.foreach(features ++= _.keys)
+    vocabulary.clear()
+    pools.valuesIterator.foreach(vocabulary ++= _.features.keys)
   }
 
   /** Apply one admin action (the passive training signal). */
   def observe(action: AdminAction): Unit = action match {
-    case MoveToPool(report, pool) =>
-      pools += pool
-      poolCounts.updateWith(pool)(c => Some(c.getOrElse(0.0) + 1.0))
-      val fc = featCounts.getOrElseUpdate(pool, mutable.Map.empty)
+    case MoveToPool(report, name) =>
+      val p = pools.getOrElseUpdate(name, new Pool)
+      p.reports += 1
       report.featureBag.foreach { f =>
-        features += f
-        fc.updateWith(f)(c => Some(c.getOrElse(0.0) + 1.0))
+        vocabulary += f
+        p.features(f) = p.features.getOrElse(f, 0) + 1
       }
-    case SetCriticality(_, pool, crit) =>
-      pools += pool
-      critCounts.updateWith((pool, crit))(c => Some(c.getOrElse(0.0) + 1.0))
+    case SetCriticality(_, name, level) =>
+      val p = pools.getOrElseUpdate(name, new Pool)
+      p.levels(level) = p.levels.getOrElse(level, 0) + 1
   }
 
   /** Posterior-maximizing pool for a report (log-space NB). */
   def classifyPool(report: ReportFeatures): String = {
-    if (poolCounts.isEmpty) return DefaultPool
-    val total = poolCounts.values.sum
-    val nFeat = math.max(1, features.size)
+    val total = pools.valuesIterator.map(_.reports).sum
+    if (total == 0) return DefaultPool
+    val nFeat = math.max(1, vocabulary.size)
     val bag   = report.featureBag
-    pools.toSeq.sorted.maxBy { pool =>
-      val prior = math.log((poolCounts.getOrElse(pool, 0.0) + Smoothing) /
-                           (total + Smoothing * pools.size))
-      val fc     = featCounts.getOrElse(pool, mutable.Map.empty)
-      val fcSum  = fc.values.sum
+    pools.maxBy { case (_, p) =>
+      val prior = math.log((p.reports + Smoothing) / (total + Smoothing * pools.size))
+      val fcSum = p.features.values.sum
       val lik = bag.map { f =>
-        math.log((fc.getOrElse(f, 0.0) + Smoothing) / (fcSum + Smoothing * nFeat))
+        math.log((p.features.getOrElse(f, 0) + Smoothing) / (fcSum + Smoothing * nFeat))
       }.sum
       prior + lik
-    }
+    }._1
   }
 
-  /** Most frequent manually-assigned criticality of the pool. */
-  def classifyCriticality(pool: String): String = {
-    val inPool = critCounts.collect { case ((p, c), n) if p == pool => (c, n) }
-    if (inPool.isEmpty) DefaultCriticality
-    else inPool.toSeq.sortBy { case (c, n) => (-n, c) }.head._1
-  }
+  /** Most frequent manually-assigned criticality of the pool; a tie goes to the first level name. */
+  def classifyCriticality(pool: String): String =
+    pools.get(pool).filter(_.levels.nonEmpty)
+      .fold(DefaultCriticality)(_.levels.minBy { case (c, n) => (-n, c) }._1)
 
   /** Full classification: (pool, criticality). */
   def classify(report: ReportFeatures): (String, String) = {

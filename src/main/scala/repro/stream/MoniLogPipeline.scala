@@ -255,7 +255,7 @@ object MoniLogPipeline {
                classifier: Broadcast[PoolClassifier]): Dataset[AnomalyReport] =
     reports.map { r =>
       val (pool, crit) = classifier.value.classify(
-        PoolClassifier.ReportFeatures(r.source, r.kind, r.events.distinct))
+        PoolClassifier.ReportFeatures(r.source, r.kind, r.events))
       r.copy(pool = pool, criticality = crit)
     }
 

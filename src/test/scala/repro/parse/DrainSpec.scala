@@ -213,11 +213,16 @@ object DrainSpec {
   val HdfsCfg  = LogSynth.SynthConfig(Seq("hdfs"), 0L, quantShare = 0.0, payloadProb = 0.0)
 
   /** `maxChildren = 2` overflows into `<*>` at the token-count level and
-    * at the first leading-token level on both corpora.
+    * at the first leading-token level on both corpora. `simThreshold =
+    * 0.6` leaves several similar groups per leaf, so lines tie at or above
+    * the threshold, in training and in matching: there the first-mined
+    * rule decides ids (52 and 36 groups; on a tie, a last-mined rule
+    * changes 27 and 49 probe ids).
     */
   val Configs: Seq[(String, () => Drain)] = Seq(
-    "default"       -> (() => new Drain()),
-    "maxChildren=2" -> (() => new Drain(maxChildren = 2)),
+    "default"          -> (() => new Drain()),
+    "maxChildren=2"    -> (() => new Drain(maxChildren = 2)),
+    "simThreshold=0.6" -> (() => new Drain(simThreshold = 0.6)),
   )
 
   def core(l: LogLine): String = Preprocess.extractStructured(l.message)._1
@@ -300,10 +305,39 @@ object DrainSpec {
     2 0 1 1 2 2 -1 4 0 1 2 2 3 4
   """
 
+  // Recorded with the one-tree walk; they pin the first-mined tie rule.
+  private val cloudSim06 = """
+    0 -1 47 1 3 5 6 -1 7 7 7 7 8 9 10 11 12 13 14 15 15 15 16 0 -1 42 32 3 18 4 -1 6 -1 7 7
+    7 7 7 8 9 10 11 12 13 14 15 15 15 16 0 47 32 3 4 5 5 -1 7 7 7 -1 7 -1 9 10 11 12 13 14
+    -1 15 16 -1 25 3 4 5 6 -1 7 7 8 9 -1 11 12 13 14 15 15 15 -1 16 16 0 -1 5 6 7 7 7 -1 7
+    -1 8 9 10 11 11 -1 -1 14 -1 15 -1 0 5 6 7 7 7 -1 7 8 -1 -1 -1 12 13 14 15 15 15 15 15 15
+    15 -1 0 -1 41 22 3 4 5 6 7 7 7 7 7 8 9 10 -1 12 13 14 -1 15 15 15 16 -1 23 19 -1 4 5 9
+    10 11 -1 13 14 14 -1 15 15 15 16 0 -1 32 3 -1 5 -1 6 -1 7 8 9 10 11 12 13 14 15 15 16 0
+    0 22 3 4 5 6 7 7 7 8 9 10 11 12 -1 14 15 0 31 31 20 20 3 4 5 6 -1 9 10 11 11 12 12 -1 14
+    14 15 15 16 0 -1 17 2 3 4 5 6 -1 7 -1 7 -1 -1 10 11 12 13 14 15 15 15 15 16 -1 1 3 -1 5
+    6 6 7 7 7 7 7 8 9 10 11 12 13 14 15 -1 0 29 45 33 36 36 3 4 -1 -1 7 7 7 7 7 8 9 10 11 12
+    13 14 15 16 0 44 -1 32 3 -1 5 6 7 7 7 7 8 9 10 10 11 12 13 14 15 15 16
+  """
+
+  private val hdfsSim06 = """
+    0 11 2 2 2 0 9 -1 2 2 3 4 0 28 2 2 -1 0 8 2 2 2 3 4 0 -1 2 2 3 2 4 -1 15 -1 2 2 2 3 4 0
+    9 2 2 3 3 -1 0 27 2 2 2 3 -1 0 30 2 2 3 4 0 0 -1 2 2 2 -1 3 -1 0 22 2 2 3 4 0 7 -1 2 3 4
+    -1 -1 2 2 3 4 0 26 -1 0 -1 2 2 2 3 -1 0 8 2 2 3 -1 0 -1 2 2 0 18 2 2 2 -1 3 -1 0 17 2 2
+    -1 3 3 4 -1 35 -1 2 -1 -1 0 0 29 2 2 2 -1 4 -1 -1 -1 2 2 3 4 0 25 2 2 2 2 2 3 4 0 -1 2 2
+    2 3 4 0 32 2 2 2 3 4 0 27 -1 2 3 4 0 29 -1 2 3 4 -1 29 2 -1 3 -1 0 0 7 2 -1 2 3 -1 0 1 1
+    -1 2 2 3 4 0 -1 2 2 -1 4 0 6 2 -1 -1 3 -1 0 20 2 2 2 3 4 0 33 2 2 3 4 0 0 26 2 2 3 4 0
+    33 2 2 3 4 0 5 2 2 2 -1 4 -1 29 -1 0 -1 2 2 2 2 3 4 0 31 -1 2 3 3 0 20 2 2 2 2 4 -1 -1 1
+    1 2 2 2 -1 4 0 -1 2 2 2 3 4 0 25 -1 2 -1 3 -1 -1 20 2 2 3 4 0 -1 7 2 2 2 3 4 -1 10 2 -1
+    3 4 22 2 2 2 2 3 4 0 17 2 2 -1 -1 0 13 2 -1 3 3 4 0 2 30 2 2 2 3 4 -1 -1 2 2 2 2 3 4 0
+    12 2 2 3 4 0 12 2 2 3 4 0 8 -1 2 2 -1 4 0 22 2 2 0 7 7 2 2 -1 4 0 22 2 2 3 4
+  """
+
   val Golden: Map[(String, String), Seq[Int]] = Map(
     ("cloud", "default")       -> ids(cloudDefault),
     ("cloud", "maxChildren=2") -> ids(cloudMaxChildren2),
     ("hdfs", "default")        -> ids(hdfsDefault),
     ("hdfs", "maxChildren=2")  -> ids(hdfsMaxChildren2),
+    ("cloud", "simThreshold=0.6") -> ids(cloudSim06),
+    ("hdfs", "simThreshold=0.6")  -> ids(hdfsSim06),
   )
 }
